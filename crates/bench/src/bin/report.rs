@@ -12,12 +12,12 @@
 //! `experiment`, `elapsed_ms`, `table`, `pipeline`) where `table` is
 //! the printed table (`title`/`headers`/`rows`/`verdict`) and
 //! `pipeline` is the `qec-obs` metrics document captured during the
-//! run — per-pass spans (build/optimize/tape/lower) and counters from
-//! the builder, optimizer, and pool. A fresh enabled recorder is
-//! installed per experiment, so each artifact's breakdown covers only
-//! its own run.
+//! run — per-pass spans (build/optimize/tape/lower, at most
+//! [`PIPELINE_SPAN_CAP`]) and counters from the builder and optimizer.
+//! A fresh enabled recorder is installed per experiment, so each
+//! artifact's breakdown covers only its own run.
 
-use qec_bench::{all_experiments, BENCH_SCHEMA_VERSION};
+use qec_bench::{all_experiments, BENCH_SCHEMA_VERSION, PIPELINE_SPAN_CAP};
 use qec_obs::Recorder;
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
         sel
     };
     for (id, run) in selected {
-        // Route the run's builder/pool/driver instrumentation into a
+        // Route the run's builder/driver instrumentation into a
         // per-experiment recorder so the JSON artifact carries its own
         // per-pass breakdown (experiments built on
         // `CompileOptions::from_env` inherit it as their driver sink).
@@ -66,11 +66,11 @@ fn main() {
         let table = run();
         let elapsed = start.elapsed();
         // Cap the span dump: fuzz-scale experiments (x19, x20) record
-        // millions of pool spans, and the artifact gets committed. The
-        // leading spans carry the per-pass pipeline breakdown; counters
-        // are never cut.
+        // hundreds of thousands of spans, and the artifact gets
+        // committed. The leading spans carry the per-pass pipeline
+        // breakdown; counters are never cut.
         let pipeline = if json {
-            qec_obs::install(rec).metrics_json_capped(2048)
+            qec_obs::install(rec).metrics_json_capped(PIPELINE_SPAN_CAP)
         } else {
             String::new()
         };

@@ -33,10 +33,8 @@ pub fn x1_heavy_light() -> Table {
     );
     let mut ratios = Vec::new();
     // Count-mode lowering hash-conses, so the word columns materialize
-    // through N=256 by default; `rc.lower` reads QEC_THREADS and runs
-    // the sharded parallel cons table when workers are available. The
-    // N=1024 column is measured by X17 (QEC_X17_N1024=1) — opt in here
-    // with QEC_X1_LOWER_E=10 to fold it into this sweep too.
+    // through N=256 by default — opt in with QEC_X1_LOWER_E=10 to add
+    // the N=1024 column.
     let lower_e: u32 = std::env::var("QEC_X1_LOWER_E")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -1033,138 +1031,6 @@ pub fn x16_optimizer() -> Table {
     t
 }
 
-/// X17 — parallel compile pipeline: the X1 heavy/light circuit is
-/// lowered through `qec-par`'s worker pool at 1/2/4/8 threads
-/// (sharded hash-consing), with byte-identity checks against the
-/// sequential pipeline at every stage.
-///
-/// Sizing knobs: `QEC_X17_SMOKE=1` shrinks the sweep to N=64 for CI;
-/// `QEC_X17_N1024=1` adds the N=1024 count-mode column (the size the
-/// sequential X1 sweep has always stopped short of).
-pub fn x17_parallel_pipeline() -> Table {
-    use qec_circuit::{optimize_with, Pool};
-    let mut t = Table::new(
-        "X17  Parallel build/lower/optimize: worker sweep on the X1 circuit",
-        &[
-            "stage",
-            "N",
-            "threads",
-            "word_gates",
-            "depth",
-            "seconds",
-            "speedup",
-            "parity",
-        ],
-    );
-    let smoke = std::env::var("QEC_X17_SMOKE").is_ok_and(|v| v == "1");
-    let with_n1024 = !smoke && std::env::var("QEC_X17_N1024").is_ok_and(|v| v == "1");
-    let n_sweep: u64 = if smoke { 64 } else { 256 };
-
-    // --- Count-mode lowering sweep: the full word-level circuit is
-    // materialized through the (sharded) cons table at each worker
-    // count; gate/depth totals must not move by a single gate. ---
-    let (rc, _) = triangle_heavy_light(n_sweep);
-    let mut base: Option<(f64, u64, u32)> = None;
-    let mut speedup_at_8 = 1.0;
-    for threads in [1usize, 2, 4, 8] {
-        let t0 = std::time::Instant::now();
-        let lowered = rc.lower_with(
-            Mode::Count,
-            &CompileOptions::sequential().with_pool(Pool::new(threads)),
-        );
-        let secs = t0.elapsed().as_secs_f64();
-        let (gates, depth) = (lowered.circuit.size(), lowered.circuit.depth());
-        let (t1_secs, t1_gates, t1_depth) = *base.get_or_insert((secs, gates, depth));
-        let parity = gates == t1_gates && depth == t1_depth;
-        assert!(parity, "thread count changed the counted circuit");
-        if threads == 8 {
-            speedup_at_8 = t1_secs / secs;
-        }
-        t.row(vec![
-            "lower(count)".into(),
-            n_sweep.to_string(),
-            threads.to_string(),
-            gates.to_string(),
-            depth.to_string(),
-            format!("{secs:.2}"),
-            f(t1_secs / secs),
-            if parity { "=" } else { "DIVERGED" }.into(),
-        ]);
-    }
-
-    // --- Build-mode byte-identity at a small N: gate lists (not just
-    // totals) and the bit-level AND count must match sequential exactly
-    // through parallel build, lowering, and both optimizer passes. ---
-    let n_exact = 16;
-    let (rc16, _) = triangle_heavy_light(n_exact);
-    let seq = rc16
-        .lower_with(Mode::Build, &CompileOptions::sequential())
-        .circuit;
-    let par = rc16
-        .lower_with(
-            Mode::Build,
-            &CompileOptions::sequential().with_pool(Pool::new(8)),
-        )
-        .circuit;
-    let word_identical = seq.gates() == par.gates() && seq.outputs() == par.outputs();
-    let bits_seq = lower_with(&seq, 16, &CompileOptions::sequential());
-    let bits_par = lower_with(
-        &par,
-        16,
-        &CompileOptions::sequential().with_pool(Pool::new(8)),
-    );
-    let bits_identical = bits_seq.gates() == bits_par.gates();
-    let (opt_seq, st_seq) = optimize_with(&seq, &CompileOptions::sequential());
-    let (opt_par, st_par) =
-        optimize_with(&par, &CompileOptions::sequential().with_pool(Pool::new(8)));
-    let opt_identical =
-        opt_seq.gates() == opt_par.gates() && format!("{st_seq:?}") == format!("{st_par:?}");
-    assert!(
-        word_identical && bits_identical && opt_identical,
-        "parallel pipeline diverged from sequential at N={n_exact}"
-    );
-    t.row(vec![
-        "build+lower+opt".into(),
-        n_exact.to_string(),
-        "8 vs 1".into(),
-        par.size().to_string(),
-        par.depth().to_string(),
-        "-".into(),
-        "-".into(),
-        format!(
-            "gates/bit-ANDs/OptStats byte-identical ({} ANDs)",
-            bits_par.and_count()
-        ),
-    ]);
-
-    // --- N=1024 count-mode: the column the sequential sweep never
-    // reached (the X1 table historically stopped at N=256). ---
-    if with_n1024 {
-        let (rc_big, _) = triangle_heavy_light(1024);
-        let pool = Pool::from_env();
-        let t0 = std::time::Instant::now();
-        let lowered = rc_big.lower_with(Mode::Count, &CompileOptions::sequential().with_pool(pool));
-        let secs = t0.elapsed().as_secs_f64();
-        t.row(vec![
-            "lower(count)".into(),
-            "1024".into(),
-            pool.threads().to_string(),
-            lowered.circuit.size().to_string(),
-            lowered.circuit.depth().to_string(),
-            format!("{secs:.2}"),
-            "-".into(),
-            "first measurement at this size".into(),
-        ]);
-    }
-
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    t.verdict(format!(
-        "8-worker lowering runs {speedup_at_8:.2}x the 1-worker pass on {cores} detected core(s) with byte-identical circuits at every stage; the ≥3x wall-clock target needs ≥8 physical cores (speedup is core-bound, parity is not){}",
-        if with_n1024 { "" } else { " — set QEC_X17_N1024=1 for the N=1024 column" },
-    ));
-    t
-}
-
 /// X14 — bound tightness (Sec. 3.2): on AGM worst-case instances the
 /// measured output reaches the polymatroid bound (up to the integrality
 /// of the grid side), certifying that the circuits are not oversized.
@@ -1304,8 +1170,8 @@ pub fn x18_obs_overhead() -> Table {
     for _ in 0..rounds {
         for traced in [false, true] {
             // A fresh recorder per traced round keeps span totals
-            // per-round; installing it globally routes the builder and
-            // pool counters to the same sink the driver stages use.
+            // per-round; installing it globally routes the builder
+            // counters to the same sink the driver stages use.
             let rec = if traced {
                 Recorder::new(true)
             } else {
@@ -1398,7 +1264,6 @@ pub fn all_experiments() -> Vec<(&'static str, fn() -> Table)> {
         ("x14", x14_bound_tightness),
         ("x15", x15_engine_throughput),
         ("x16", x16_optimizer),
-        ("x17", x17_parallel_pipeline),
         ("x18", x18_obs_overhead),
         ("x19", x19_differential),
         ("x20", x20_tape_streaming),
@@ -1411,7 +1276,7 @@ pub fn all_experiments() -> Vec<(&'static str, fn() -> Table)> {
 
 /// X19 — Differential fuzzing throughput: seeded random conjunctive
 /// queries with random instances, each compiled through the full
-/// engine-option matrix (optimizer on/off × thread counts × tracing)
+/// engine-option matrix (optimizer on/off × tracing on/off)
 /// and checked against the RAM baselines with the structural
 /// validators armed. Reports cases/sec and the divergence count —
 /// which must be zero for the reproduction's equivalence claim to
@@ -1497,7 +1362,7 @@ fn tape_eval_binary() -> Option<std::path::PathBuf> {
 ///
 /// Sizing knobs: `QEC_X20_SMOKE=1` shrinks the case for CI;
 /// `QEC_X20_N1280=1` adds the count-mode word lowering at N=1280 — one
-/// step beyond X17's historical N=1024 ceiling — with the process peak
+/// step beyond the retired X17's N=1024 measurement — with the process peak
 /// RSS (`VmHWM`) recorded.
 pub fn x20_tape_streaming() -> Table {
     use qec_circuit::{lower_streamed, BitTape, StreamOptions, WordTape};
@@ -1689,15 +1554,14 @@ pub fn x20_tape_streaming() -> Table {
         }
     }
 
-    // --- The size X17 never reached: count-mode word lowering at
+    // --- The size the retired X17 never reached: count-mode word lowering at
     // N=1280, with the process high-water RSS recorded. Count mode is
     // the word-level analogue of the streaming story — the circuit is
     // sized without materializing gate storage. ---
     if heavy {
         let (rc_big, _) = triangle_heavy_light(1280);
-        let pool = qec_circuit::Pool::from_env();
         let t0 = Instant::now();
-        let counted = rc_big.lower_with(Mode::Count, &CompileOptions::sequential().with_pool(pool));
+        let counted = rc_big.lower_with(Mode::Count, &CompileOptions::sequential());
         let secs = t0.elapsed().as_secs_f64();
         let rss = qec_obs::peak_rss_bytes()
             .map(|b| format!("peak RSS {:.1} GiB (VmHWM)", b as f64 / (1u64 << 30) as f64))

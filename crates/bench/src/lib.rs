@@ -12,10 +12,10 @@ mod table;
 
 pub use experiments::{
     all_experiments, x10_semiring, x11_mpc, x12_primitive_scaling, x13_brent, x14_bound_tightness,
-    x15_engine_throughput, x16_optimizer, x17_parallel_pipeline, x18_obs_overhead,
-    x19_differential, x1_heavy_light, x20_tape_streaming, x21_bitengine, x22_serve,
-    x23_networked_gmw, x24_datalog_fixpoint, x2_panda_triangle, x3_proof_sequences, x4_panda_cost,
-    x5_project_aggregate, x6_pk_join, x7_degree_join, x8_output_join, x9_output_sensitive,
+    x15_engine_throughput, x16_optimizer, x18_obs_overhead, x19_differential, x1_heavy_light,
+    x20_tape_streaming, x21_bitengine, x22_serve, x23_networked_gmw, x24_datalog_fixpoint,
+    x2_panda_triangle, x3_proof_sequences, x4_panda_cost, x5_project_aggregate, x6_pk_join,
+    x7_degree_join, x8_output_join, x9_output_sensitive,
 };
 pub use table::Table;
 
@@ -25,6 +25,12 @@ pub use table::Table;
 /// `elapsed_ms`, `table`, `pipeline`), so trajectory diffs across PRs
 /// compare content, not serializer whims. Bump on any key change.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
+
+/// Most spans a `BENCH_*.json` artifact's `pipeline` document keeps;
+/// the rest are counted in `spans_dropped`. Fuzz-scale experiments
+/// record hundreds of thousands of spans, and the artifacts are
+/// committed.
+pub const PIPELINE_SPAN_CAP: usize = 2048;
 
 use qec_relation::{random_relation, Database, DcSet, DegreeConstraint, Var, VarSet};
 

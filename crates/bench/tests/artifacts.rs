@@ -1,10 +1,15 @@
 //! Guard for the committed bench artifacts: every `BENCH_X<n>.json`
-//! named in `EXPERIMENTS.md` must actually exist at the repo root and
-//! open with the current schema version. PR 5 documented
-//! `BENCH_X19.json` without committing it; this test turns that class
-//! of stale-artifact claim into a CI failure.
+//! named in `EXPERIMENTS.md` must actually exist at the repo root, open
+//! with the current schema version, and keep the size caps `report`
+//! applies (at most [`PIPELINE_SPAN_CAP`] pipeline spans, at most
+//! 1 MiB on disk). `BENCH_X19.json` was once documented without being
+//! committed, and later committed at 49 MB with 595,375 spans; this
+//! test turns both kinds of stale artifact into a CI failure.
 
-use qec_bench::BENCH_SCHEMA_VERSION;
+use qec_bench::{BENCH_SCHEMA_VERSION, PIPELINE_SPAN_CAP};
+
+/// Largest committed artifact the guard accepts.
+const MAX_ARTIFACT_BYTES: usize = 1 << 20;
 
 #[test]
 fn every_artifact_named_in_experiments_md_is_committed_with_the_schema_version() {
@@ -53,6 +58,25 @@ fn every_artifact_named_in_experiments_md_is_committed_with_the_schema_version()
             body.starts_with(&want),
             "{}: artifact does not open with schema_version {BENCH_SCHEMA_VERSION}",
             path.display()
+        );
+        assert!(
+            body.len() <= MAX_ARTIFACT_BYTES,
+            "{}: {} bytes, over the {MAX_ARTIFACT_BYTES}-byte artifact cap",
+            path.display(),
+            body.len()
+        );
+        let doc = qec_obs::json::parse(&body)
+            .unwrap_or_else(|e| panic!("{}: invalid JSON: {e}", path.display()));
+        let spans = doc
+            .get("pipeline")
+            .and_then(|p| p.get("spans"))
+            .and_then(|s| s.as_array())
+            .unwrap_or_else(|| panic!("{}: no pipeline.spans array", path.display()));
+        assert!(
+            spans.len() <= PIPELINE_SPAN_CAP,
+            "{}: {} pipeline spans, over the {PIPELINE_SPAN_CAP}-span cap",
+            path.display(),
+            spans.len()
         );
         if let Some(listing) = &tracked {
             assert!(

@@ -7,11 +7,10 @@
 //!    the flat `yannakakis` baseline (acyclic queries), and
 //!    `OutputSensitive::evaluate_ram` must all agree.
 //! 2. The naive relational circuit's RAM interpreter must match.
-//! 3. The lowered word circuit is structurally validated, checked for
-//!    parallel-lowering parity and a flat-tape serialize/decode
-//!    round-trip (netlist equality), then compiled and evaluated under
-//!    every [`EngineOptions`] point in the sweep matrix; each decoded
-//!    output must equal the RAM ground truth.
+//! 3. The lowered word circuit is structurally validated, checked for a
+//!    flat-tape serialize/decode round-trip (netlist equality), then
+//!    compiled and evaluated under every [`EngineOptions`] point in the
+//!    sweep matrix; each decoded output must equal the RAM ground truth.
 //! 4. Optionally the bit-level lowering and bit optimizer run under the
 //!    structural validator as well, plus a bit-tape round-trip, a
 //!    streaming-lowering parity check (a spill-forcing window must
@@ -28,7 +27,7 @@ use crate::case::{Case, EngineOptions};
 use qec_circuit::{
     compile_bits_with, decode_relation, lower_streamed, lower_with, optimize_bits_with,
     read_netlist, validate, validate_bits, write_netlist, BitEvalScratch, BitKernel, BitTape,
-    Circuit, CompileOptions, CompiledCircuit, Mode, Pool, StreamOptions, WordTape,
+    Circuit, CompileOptions, CompiledCircuit, Mode, StreamOptions, WordTape,
 };
 use qec_core::{naive_circuit, OutputSensitive};
 use qec_query::baseline::{evaluate_pairwise, generic_join, yannakakis};
@@ -164,22 +163,13 @@ pub struct CaseOutcome {
     pub bit_gates: usize,
 }
 
-/// The sweep matrix for one case: optimizer {off, on} × threads
-/// {1, 2 + seed mod 7} × tracing {off, on} — eight configurations, with
-/// the thread count varied by seed so the whole 1..=8 range gets
-/// exercised across a run.
-pub fn options_matrix(seed: u64) -> Vec<EngineOptions> {
-    let alt_threads = 2 + (seed % 7) as usize;
-    let mut matrix = Vec::with_capacity(8);
+/// The sweep matrix for one case: optimizer {off, on} × tracing
+/// {off, on} — four configurations.
+pub fn options_matrix() -> Vec<EngineOptions> {
+    let mut matrix = Vec::with_capacity(4);
     for optimize in [false, true] {
-        for threads in [1, alt_threads] {
-            for traced in [false, true] {
-                matrix.push(EngineOptions {
-                    optimize,
-                    threads,
-                    traced,
-                });
-            }
+        for traced in [false, true] {
+            matrix.push(EngineOptions { optimize, traced });
         }
     }
     matrix
@@ -320,26 +310,12 @@ pub fn run_case(
         });
     }
 
-    // Stage 3: lower to the word IR, validate, and check that parallel
-    // lowering is bit-for-bit equal to sequential lowering.
+    // Stage 3: lower to the word IR and validate it.
     let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
     validate(&lowered.circuit).map_err(|e| Divergence::Validator {
         stage: "lower",
         error: e.to_string(),
     })?;
-    let max_threads = matrix.iter().map(|o| o.threads).max().unwrap_or(1);
-    if max_threads > 1 {
-        let par = rc.lower_with(
-            Mode::Build,
-            &CompileOptions::sequential().with_pool(Pool::new(max_threads)),
-        );
-        if write_netlist(&par.circuit) != write_netlist(&lowered.circuit) {
-            return Err(Divergence::Validator {
-                stage: "parallel-lowering-parity",
-                error: format!("lowering under {max_threads} threads produced a different netlist"),
-            });
-        }
-    }
 
     // Stage 3b: flat-tape round-trip — encode the lowered word circuit
     // to an instruction tape, serialize, reload, decode, and demand the
@@ -699,7 +675,7 @@ pub fn fuzz_many(seed: u64, cases: usize, bits_every: usize, datalog_every: usiz
     let mut summary = FuzzSummary::default();
     for i in 0..cases {
         let case_seed = seed.wrapping_add(i as u64);
-        let matrix = options_matrix(case_seed);
+        let matrix = options_matrix();
         if datalog_every != 0 && i % datalog_every == 0 {
             let dcase = crate::datalog::gen_datalog_case(case_seed);
             match crate::datalog::run_datalog_case(&dcase, &matrix) {
@@ -739,15 +715,14 @@ mod tests {
     use crate::case::EngineOptions;
 
     #[test]
-    fn matrix_has_eight_distinct_points() {
-        let m = options_matrix(3);
-        assert_eq!(m.len(), 8);
+    fn matrix_has_four_distinct_points() {
+        let m = options_matrix();
+        assert_eq!(m.len(), 4);
         for (i, a) in m.iter().enumerate() {
             for b in &m[i + 1..] {
                 assert_ne!(a, b);
             }
         }
-        assert!(m.iter().any(|o| o.threads > 1));
         assert!(m.iter().any(|o| o.optimize));
         assert!(m.iter().any(|o| o.traced));
     }
@@ -755,9 +730,9 @@ mod tests {
     #[test]
     fn a_known_good_case_passes_the_full_matrix() {
         let case = crate::gen::gen_case(11);
-        let matrix = options_matrix(11);
+        let matrix = options_matrix();
         let outcome = run_case(&case, &matrix, None, true, true).unwrap();
-        assert_eq!(outcome.configs, 8);
+        assert_eq!(outcome.configs, 4);
         assert!(outcome.word_gates > 0);
         assert!(outcome.bit_gates > 0);
     }
@@ -781,7 +756,6 @@ mod tests {
     fn divergence_reports_carry_the_failing_options() {
         let opts = EngineOptions {
             optimize: true,
-            threads: 3,
             traced: false,
         };
         let d = Divergence::Output {

@@ -3,7 +3,7 @@
 //! Emits small conjunctive queries with matching random instances. The
 //! sampling ranges are deliberately tiny: the naive plan's intermediate
 //! capacities grow like `n^{atoms}` and every case is compiled through
-//! an 8-point engine-option matrix, so holding `n ≤ 3` and `atoms ≤ 3`
+//! a 4-point engine-option matrix, so holding `n ≤ 3` and `atoms ≤ 3`
 //! keeps a 2000-case CI sweep in the low minutes while still covering
 //! cyclic/acyclic shapes, projections, Boolean queries, empty
 //! relations, and dangling tuples.
@@ -88,7 +88,6 @@ pub fn gen_case(seed: u64) -> Case {
 
     let options = EngineOptions {
         optimize: rng.chance(1, 2),
-        threads: 1 + rng.below(4) as usize,
         traced: rng.chance(1, 4),
     };
 

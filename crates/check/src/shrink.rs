@@ -4,8 +4,7 @@
 //! applies reductions and keeps every one the oracle confirms, looping
 //! to a fixpoint:
 //!
-//! 1. simplify the engine options (tracing off, one thread, optimizer
-//!    off),
+//! 1. simplify the engine options (tracing off, optimizer off),
 //! 2. drop whole atoms from the query (rebuilding the query text and
 //!    permuting stored rows into the renumbered schema),
 //! 3. delete relation rows one at a time,
@@ -50,7 +49,6 @@ fn simplify_options(cur: &mut Case, still_fails: &dyn Fn(&Case) -> bool) -> bool
         }
     };
     progressed |= try_opts(cur, &|c| c.options.traced = false);
-    progressed |= try_opts(cur, &|c| c.options.threads = 1);
     progressed |= try_opts(cur, &|c| c.options.optimize = false);
     progressed
 }
@@ -196,7 +194,6 @@ mod tests {
             ],
             options: EngineOptions {
                 optimize: true,
-                threads: 5,
                 traced: true,
             },
         }

@@ -18,5 +18,5 @@ fn seeded_sweep_has_zero_divergences() {
     }
     assert_eq!(summary.cases_passed, 40);
     assert_eq!(summary.datalog_passed, 4);
-    assert_eq!(summary.configs, 40 * 8 + 4 * 8);
+    assert_eq!(summary.configs, 40 * 4 + 4 * 4);
 }

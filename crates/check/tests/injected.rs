@@ -21,7 +21,7 @@ fn injected_miscompile_is_caught_shrunk_and_replayable() {
         let case = gen_case(seed);
         for index in 0..12 {
             let mutation = Mutation { index };
-            match run_case(&case, &options_matrix(seed), Some(&mutation), false, false) {
+            match run_case(&case, &options_matrix(), Some(&mutation), false, false) {
                 Err(d) if d.is_real() => {
                     found = Some((case, mutation, d));
                     break 'outer;

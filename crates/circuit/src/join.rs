@@ -106,29 +106,29 @@ fn join_pk_payload(
     // Segmented "repetition" scan (Alg. 6 line 5): within each key group
     // the S row (if any) is first; copy its payload and marker down the
     // group. Dummy rows get a QMARK key so they form their own segment.
-    let keys: Vec<Vec<WireId>> = b.fork_join(n, |i, bb| {
-        sorted.slots[i]
-            .fields
-            .iter()
-            .map(|&f| bb.mux(sorted.slots[i].valid, f, qm))
-            .collect()
-    });
+    let keys: Vec<Vec<WireId>> = (0..n)
+        .map(|i| {
+            sorted.slots[i]
+                .fields
+                .iter()
+                .map(|&f| b.mux(sorted.slots[i].valid, f, qm))
+                .collect()
+        })
+        .collect();
 
     // Key-uniqueness check: Alg. 6 requires the shared attributes to be a
     // primary key of S. Two valid S rows with equal keys are adjacent
     // after the sort; assert that never happens, so violated promises
     // surface as evaluation errors instead of silently dropped matches.
-    // Each adjacent pair is independent, so the checks fork; the replay
-    // log splices children in index order, keeping assert order stable.
     let s_col = &extras[1 + arity + payload_len];
-    b.fork_join(n.saturating_sub(1), |i, bb| {
-        let same = bb.vec_eq(&keys[i], &keys[i + 1]);
-        let both_valid = bb.and(sorted.slots[i].valid, sorted.slots[i + 1].valid);
-        let both_s = bb.and(s_col[i], s_col[i + 1]);
-        let bad0 = bb.and(same, both_valid);
-        let bad = bb.and(bad0, both_s);
-        bb.assert_zero(bad);
-    });
+    for i in 0..n.saturating_sub(1) {
+        let same = b.vec_eq(&keys[i], &keys[i + 1]);
+        let both_valid = b.and(sorted.slots[i].valid, sorted.slots[i + 1].valid);
+        let both_s = b.and(s_col[i], s_col[i + 1]);
+        let bad0 = b.and(same, both_valid);
+        let bad = b.and(bad0, both_s);
+        b.assert_zero(bad);
+    }
     let vals: Vec<Vec<WireId>> = (0..n)
         .map(|i| {
             let mut v = vec![extras[1 + arity + payload_len][i]]; // is_s
@@ -142,17 +142,19 @@ fn join_pk_payload(
 
     // Keep R-originated rows that found an S row (line 6–8); reconstruct
     // r fields from the carried extras.
-    b.fork_join(n, |i, bb| {
-        let origin_r = extras[0][i]; // 1 for R rows
-        let matched = scanned[i][0];
-        let valid0 = bb.and(sorted.slots[i].valid, origin_r);
-        let valid = bb.and(valid0, matched);
-        PayloadSlot {
-            r_fields: (0..arity).map(|c| extras[1 + c][i]).collect(),
-            payload: scanned[i][1..].to_vec(),
-            valid,
-        }
-    })
+    (0..n)
+        .map(|i| {
+            let origin_r = extras[0][i]; // 1 for R rows
+            let matched = scanned[i][0];
+            let valid0 = b.and(sorted.slots[i].valid, origin_r);
+            let valid = b.and(valid0, matched);
+            PayloadSlot {
+                r_fields: (0..arity).map(|c| extras[1 + c][i]).collect(),
+                payload: scanned[i][1..].to_vec(),
+                valid,
+            }
+        })
+        .collect()
 }
 
 /// Packs payload slots into a relation over `r.vars ∪ payload_vars` and
@@ -329,23 +331,22 @@ pub fn join_degree_bounded(
     for i in 1..=n_exp {
         let len = seqs.len();
         let mut next: Vec<Option<Seq>> = (0..len).map(|_| None).collect();
-        // Each (2t, 2t+1) pair touches only its own two slots, so the
-        // rounds' pair bodies fork across the pool.
-        let pairs = b.fork_join(len / 2, |t, bb| {
+        // Each (2t, 2t+1) pair touches only its own two slots.
+        for t in 0..len / 2 {
             let (a_idx, b_idx) = (2 * t, 2 * t + 1);
             let same = {
-                let eq = bb.vec_eq(&seqs[a_idx].key, &seqs[b_idx].key);
-                let both = bb.and(seqs[a_idx].valid, seqs[b_idx].valid);
-                bb.and(eq, both)
+                let eq = b.vec_eq(&seqs[a_idx].key, &seqs[b_idx].key);
+                let both = b.and(seqs[a_idx].valid, seqs[b_idx].valid);
+                b.and(eq, both)
             };
             // combined: (C_a, C_b); duplicated: (C_b, C_b)
             let mut combined = seqs[a_idx].groups.clone();
             combined.extend(seqs[b_idx].groups.iter().copied());
             let mut dup_b = seqs[b_idx].groups.clone();
             dup_b.extend(seqs[b_idx].groups.iter().copied());
-            let new_groups = bb.vec_mux(same, &combined, &dup_b);
-            let not_same = bb.not(same);
-            let a_valid = bb.and(seqs[a_idx].valid, not_same);
+            let new_groups = b.vec_mux(same, &combined, &dup_b);
+            let not_same = b.not(same);
+            let a_valid = b.and(seqs[a_idx].valid, not_same);
             let mut dup_a = seqs[a_idx].groups.clone();
             dup_a.extend(seqs[a_idx].groups.iter().copied());
             let slot_a = Seq {
@@ -358,11 +359,8 @@ pub fn join_degree_bounded(
                 groups: new_groups,
                 valid: seqs[b_idx].valid,
             };
-            (slot_a, slot_b)
-        });
-        for (t, (slot_a, slot_b)) in pairs.into_iter().enumerate() {
-            next[2 * t] = Some(slot_a);
-            next[2 * t + 1] = Some(slot_b);
+            next[a_idx] = Some(slot_a);
+            next[b_idx] = Some(slot_b);
         }
         if len % 2 == 1 {
             // unpaired trailing slot: duplicate (line 12–13)
@@ -390,36 +388,36 @@ pub fn join_degree_bounded(
         let len = seqs.len();
         let zero = b.constant(0);
         let mut merged_into_prev: Vec<WireId> = vec![zero];
-        merged_into_prev.extend(b.fork_join(len.saturating_sub(1), |k, bb| {
-            let j = k + 1;
-            let eq = bb.vec_eq(&seqs[j - 1].key, &seqs[j].key);
-            let both = bb.and(seqs[j - 1].valid, seqs[j].valid);
-            bb.and(eq, both)
+        merged_into_prev.extend((1..len).map(|j| {
+            let eq = b.vec_eq(&seqs[j - 1].key, &seqs[j].key);
+            let both = b.and(seqs[j - 1].valid, seqs[j].valid);
+            b.and(eq, both)
         }));
-        let merged_into_prev = &merged_into_prev;
-        let next: Vec<Seq> = b.fork_join(len, |j, bb| {
-            let merge_next = if j + 1 < len {
-                merged_into_prev[j + 1]
-            } else {
-                zero
-            };
-            let mut combined = seqs[j].groups.clone();
-            if j + 1 < len {
-                combined.extend(seqs[j + 1].groups.iter().copied());
-            } else {
-                combined.extend(seqs[j].groups.iter().copied());
-            }
-            let mut dup = seqs[j].groups.clone();
-            dup.extend(seqs[j].groups.iter().copied());
-            let groups = bb.vec_mux(merge_next, &combined, &dup);
-            let not_merged = bb.not(merged_into_prev[j]);
-            let valid = bb.and(seqs[j].valid, not_merged);
-            Seq {
-                key: seqs[j].key.clone(),
-                groups,
-                valid,
-            }
-        });
+        let next: Vec<Seq> = (0..len)
+            .map(|j| {
+                let merge_next = if j + 1 < len {
+                    merged_into_prev[j + 1]
+                } else {
+                    zero
+                };
+                let mut combined = seqs[j].groups.clone();
+                if j + 1 < len {
+                    combined.extend(seqs[j + 1].groups.iter().copied());
+                } else {
+                    combined.extend(seqs[j].groups.iter().copied());
+                }
+                let mut dup = seqs[j].groups.clone();
+                dup.extend(seqs[j].groups.iter().copied());
+                let groups = b.vec_mux(merge_next, &combined, &dup);
+                let not_merged = b.not(merged_into_prev[j]);
+                let valid = b.and(seqs[j].valid, not_merged);
+                Seq {
+                    key: seqs[j].key.clone(),
+                    groups,
+                    valid,
+                }
+            })
+            .collect();
         seqs = next;
         reps *= 2;
     }

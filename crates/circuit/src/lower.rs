@@ -9,13 +9,9 @@
 //! reports AND count and AND depth separately.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use qec_par::Pool;
-
 use crate::driver::CompileOptions;
-use crate::shared::{InternTable, Pages};
 use crate::{Circuit, Gate, WireId};
 
 /// A bit-level gate over GF(2) with NOT.
@@ -284,11 +280,11 @@ fn remap_bgate(g: BGate, renum: &[u32]) -> BGate {
 /// wire. All bit wires carry `0`/`1`, so unlike the word level every
 /// identity here is unconditionally sound.
 ///
-/// Implementors provide the storage primitives: [`Lowerer`] (sequential
-/// vector + `HashMap`), `ParTaskStore` (the sharded concurrent core used
-/// by [`lower_with_pool`]), and `BitSpec` (the read-only decision view
-/// used by [`optimize_bits_with_pool`]). One copy of the rule bodies is
-/// what keeps the three schedules byte-identical.
+/// Implementors provide the storage primitives: [`Lowerer`] (a gate
+/// vector + `HashMap`, behind [`lower_with`] and [`optimize_bits_with`])
+/// and `StreamLowerer` (the bounded-window store behind
+/// [`lower_streamed`](crate::lower_streamed)). One copy of the rule
+/// bodies is what keeps the two lowerings byte-identical.
 pub(crate) trait BitRewrite {
     /// Appends an uncached gate (inputs, asserts).
     fn push(&mut self, g: BGate) -> u32;
@@ -512,9 +508,9 @@ fn bit_word(bit: u32, w: usize) -> Vec<u32> {
 /// Expands one word gate into its Boolean block against any
 /// [`BitRewrite`] store. `word_bits[op]` holds the bit wires of word wire
 /// `op`, already lowered — word gate lists are topological, so operands
-/// always precede their consumers. Shared by the sequential [`lower`]
-/// loop and the per-gate tasks of [`lower_with_pool`]; tracking
-/// `num_input_bits` for `Input` gates stays with the caller.
+/// always precede their consumers. Shared by [`lower_with`] and the
+/// streaming lowering; tracking `num_input_bits` for `Input` gates stays
+/// with the caller.
 pub(crate) fn lower_gate<S: BitRewrite>(
     lw: &mut S,
     g: Gate,
@@ -582,10 +578,10 @@ pub(crate) fn lower_gate<S: BitRewrite>(
     }
 }
 
-/// Lowers a word circuit to bits. Every word input becomes `width` input
-/// bits (LSB first); word values must fit in `width` bits for the
-/// semantics to agree with the word evaluator (checked by tests over the
-/// operating domain).
+/// Lowers a word circuit to bits under `opts`. Every word input becomes
+/// `width` input bits (LSB first); word values must fit in `width` bits
+/// for the semantics to agree with the word evaluator (checked by tests
+/// over the operating domain).
 ///
 /// Width contract: choose `width` so that every domain value is
 /// `< 2^width − 1`. The all-ones word is the image of the reserved `?`
@@ -593,10 +589,16 @@ pub(crate) fn lower_gate<S: BitRewrite>(
 /// order and equality comparisons against domain values behave as at word
 /// level, but a domain value equal to `2^width − 1` would collide with it.
 ///
+/// When `opts.recorder` is enabled the pass records a `lower` span and
+/// the headline bit-level gate counts; the produced circuit never
+/// depends on whether tracing was on.
+///
 /// # Panics
 /// Panics if the circuit was built in count-only mode.
-fn lower_seq(c: &Circuit, width: u32) -> BitCircuit {
+pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit {
     assert!(c.is_evaluable(), "cannot lower a count-only circuit");
+    let rec = &opts.recorder;
+    let _span = rec.span("lower");
     let w = width as usize;
     let mut lw = Lowerer::new();
     let mut word_bits: Vec<Vec<u32>> = Vec::with_capacity(c.num_wires());
@@ -615,10 +617,17 @@ fn lower_seq(c: &Circuit, width: u32) -> BitCircuit {
         .iter()
         .flat_map(|&w_id: &WireId| word_bits[w_id as usize].clone())
         .collect();
-    BitCircuit::new(lw.gates, outputs, num_input_bits, width)
+    let bc = BitCircuit::new(lw.gates, outputs, num_input_bits, width);
+    if rec.is_enabled() {
+        rec.add("lower.bit_gates", bc.gate_count());
+        rec.add("lower.and_gates", bc.and_count());
+        rec.add("lower.xor_gates", bc.xor_count());
+        rec.gauge_max("lower.and_depth", bc.and_depth() as u64);
+    }
+    bc
 }
 
-/// Counters describing one [`optimize_bits`] run.
+/// Counters describing one [`optimize_bits_with`] run.
 #[derive(Clone, Debug, Default)]
 pub struct BitOptStats {
     /// Logic gates before (XOR + AND + NOT + asserts).
@@ -652,22 +661,36 @@ impl BitOptStats {
     }
 }
 
-/// Offline optimizer for bit circuits: XOR/AND/NOT constant folding and
-/// identity rewrites, structural CSE, and assertion-safe DCE (asserts
-/// are roots; only an assert whose input folds to constant `false` is
-/// dropped). Circuits freshly produced by [`lower`] are already folded
-/// online, so this pass mostly pays off on hand-assembled or
-/// deserialized bit circuits — and as the place where AND-count/AND-depth
-/// deltas are measured.
-fn optimize_bits_seq(bc: &BitCircuit) -> (BitCircuit, BitOptStats) {
-    let out = rewrite_bits_seq(bc);
-    let live = mark_live_bits_seq(bc, &out);
-    assemble_bits(bc, out, &live)
+/// Offline optimizer for bit circuits under `opts`: XOR/AND/NOT constant
+/// folding and identity rewrites, structural CSE, and assertion-safe DCE
+/// (asserts are roots; only an assert whose input folds to constant
+/// `false` is dropped). Circuits freshly produced by [`lower_with`] are
+/// already folded online, so this pass mostly pays off on hand-assembled
+/// or deserialized bit circuits — and as the place where
+/// AND-count/AND-depth deltas are measured. Runs regardless of
+/// `opts.optimize` (that flag gates the *word-level* pass inside the
+/// compile driver; calling this function is already the opt-in).
+///
+/// When `opts.recorder` is enabled the pass records an `opt_bits` span
+/// and its headline counters.
+pub fn optimize_bits_with(bc: &BitCircuit, opts: &CompileOptions) -> (BitCircuit, BitOptStats) {
+    let rec = &opts.recorder;
+    let _span = rec.span("opt_bits");
+    let out = rewrite_bits(bc);
+    let live = mark_live_bits(bc, &out);
+    let (opt, st) = assemble_bits(bc, out, &live);
+    if rec.is_enabled() {
+        rec.add("opt_bits.gates_before", st.gates_before);
+        rec.add("opt_bits.gates_after", st.gates_after);
+        rec.add("opt_bits.cse_hits", st.cse_hits);
+        rec.add("opt_bits.folds", st.folds);
+        rec.add("opt_bits.dead", st.dead);
+    }
+    (opt, st)
 }
 
 /// The rewritten (pre-DCE) bit-gate list plus everything the sweep and
-/// final stats need. Produced by both the sequential rewrite loop and the
-/// parallel level pipeline.
+/// final stats need.
 struct BitRewriteOut {
     gates: Vec<BGate>,
     /// Source wire → rewritten wire.
@@ -677,9 +700,7 @@ struct BitRewriteOut {
 }
 
 /// Applies the [`BitRewrite`] rules to one source gate against the
-/// committed `map`. Shared verbatim by the sequential loop and the
-/// parallel decision phase — this dispatch is the single definition of
-/// what "rewriting a bit gate" means.
+/// rewritten `map` of its operands.
 fn rewrite_bit_gate<S: BitRewrite>(lw: &mut S, map: &[u32], g: BGate) -> u32 {
     match g {
         BGate::Input(i) => lw.push(BGate::Input(i)),
@@ -704,7 +725,7 @@ fn rewrite_bit_gate<S: BitRewrite>(lw: &mut S, map: &[u32], g: BGate) -> u32 {
     }
 }
 
-fn rewrite_bits_seq(bc: &BitCircuit) -> BitRewriteOut {
+fn rewrite_bits(bc: &BitCircuit) -> BitRewriteOut {
     let mut lw = Lowerer::new();
     let mut map: Vec<u32> = Vec::with_capacity(bc.gates.len());
     for &g in &bc.gates {
@@ -719,10 +740,10 @@ fn rewrite_bits_seq(bc: &BitCircuit) -> BitRewriteOut {
     }
 }
 
-/// Sequential liveness mark over the rewritten gates: outputs, asserts,
-/// and inputs are roots; a single reverse pass suffices because the gate
-/// list is topologically ordered.
-fn mark_live_bits_seq(bc: &BitCircuit, out: &BitRewriteOut) -> Vec<bool> {
+/// Liveness mark over the rewritten gates: outputs, asserts, and inputs
+/// are roots; a single reverse pass suffices because the gate list is
+/// topologically ordered.
+fn mark_live_bits(bc: &BitCircuit, out: &BitRewriteOut) -> Vec<bool> {
     let n = out.gates.len();
     let mut live = vec![false; n];
     for &o in &bc.outputs {
@@ -748,10 +769,7 @@ fn mark_live_bits_seq(bc: &BitCircuit, out: &BitRewriteOut) -> Vec<bool> {
     live
 }
 
-/// Sweep (compaction in id order) and final stats assembly, shared by the
-/// sequential and parallel passes so the produced `(BitCircuit,
-/// BitOptStats)` agree byte for byte whenever the rewrite outputs and
-/// live sets agree.
+/// Sweep (compaction in id order) and final stats assembly.
 fn assemble_bits(bc: &BitCircuit, out: BitRewriteOut, live: &[bool]) -> (BitCircuit, BitOptStats) {
     let n = out.gates.len();
     let mut remap = vec![u32::MAX; n];
@@ -784,369 +802,10 @@ fn assemble_bits(bc: &BitCircuit, out: BitRewriteOut, live: &[bool]) -> (BitCirc
     (opt, stats)
 }
 
-// ===================== parallel lowering =====================
-//
-// `lower_with_pool` replays the word circuit level by level (word gate
-// lists give every gate a depth strictly above its operands), lowering
-// every word gate of a level as an independent task into a shared
-// concurrent core: the sharded intern table dedups structurally, paged
-// atomic columns hold the gate payloads, and a single atomic counter
-// hands out wire ids. Parallel ids are schedule-dependent, so tasks log
-// the wire returned by *every* table attempt; the attempt keyed
-// `(word gate, invocation index)` is exactly where the sequential
-// `Lowerer` would have performed the same lookup, which makes "earliest
-// attempt that produced the wire" the wire's sequential creation point.
-// Renumbering by that key and re-canonicalizing operand order rebuilds
-// the byte-identical sequential gate list.
-//
-// The rule bodies themselves come from `BitRewrite` and take identical
-// paths in both schedules: folds test only wire identity and the two
-// constant ids (0/1 in both), and dedup makes parallel↔sequential ids a
-// bijection, so identity tests agree everywhere.
-
-/// Bit-gate kind tags for the packed intern key and the paged columns.
-/// Tags start at 1: key 0 is the intern table's empty-slot sentinel.
-const BK_CONST: u8 = 1;
-const BK_INPUT: u8 = 2;
-const BK_XOR: u8 = 3;
-const BK_AND: u8 = 4;
-const BK_NOT: u8 = 5;
-const BK_ASSERT: u8 = 6;
-
-fn bgate_parts(g: BGate) -> (u8, u32, u32) {
-    match g {
-        BGate::Const(v) => (BK_CONST, u32::from(v), 0),
-        BGate::Input(i) => (
-            BK_INPUT,
-            u32::try_from(i).expect("input bit index exceeds u32"),
-            0,
-        ),
-        BGate::Xor(a, b) => (BK_XOR, a, b),
-        BGate::And(a, b) => (BK_AND, a, b),
-        BGate::Not(a) => (BK_NOT, a, 0),
-        BGate::AssertFalse(a) => (BK_ASSERT, a, 0),
-    }
-}
-
-/// Packs a canonical gate into the non-zero intern key: kind tag in the
-/// low 3 bits, operands above.
-fn pack_bkey(g: BGate) -> u128 {
-    let (k, a, b) = bgate_parts(g);
-    (k as u128) | ((a as u128) << 3) | ((b as u128) << 35)
-}
-
-/// The shared concurrent bit-gate store: struct-of-arrays payload columns
-/// (1-byte kind + two 4-byte operands per gate) over paged write-once
-/// storage, a sharded intern table for structural dedup, and an atomic
-/// wire-id allocator. Wires 0/1 are preseeded with the constants, same as
-/// the sequential [`Lowerer`].
-struct ParLowerCore {
-    table: InternTable,
-    kinds: Pages<AtomicU8>,
-    opa: Pages<AtomicU32>,
-    opb: Pages<AtomicU32>,
-    next: AtomicU32,
-}
-
-impl ParLowerCore {
-    fn new() -> ParLowerCore {
-        let core = ParLowerCore {
-            table: InternTable::new(),
-            kinds: Pages::new(),
-            opa: Pages::new(),
-            opb: Pages::new(),
-            next: AtomicU32::new(2),
-        };
-        core.write(B_FALSE, BGate::Const(false));
-        core.write(B_TRUE, BGate::Const(true));
-        core
-    }
-
-    /// Stores `g`'s payload at wire `w`. Relaxed suffices: cross-thread
-    /// visibility rides on the intern table's shard lock (payload is
-    /// written before the key is published) or on pool scope joins.
-    fn write(&self, w: u32, g: BGate) {
-        let (k, a, b) = bgate_parts(g);
-        self.opa.at(w).store(a, Ordering::Relaxed);
-        self.opb.at(w).store(b, Ordering::Relaxed);
-        self.kinds.at(w).store(k, Ordering::Relaxed);
-    }
-
-    fn alloc(&self, g: BGate) -> u32 {
-        let w = self.next.fetch_add(1, Ordering::Relaxed);
-        self.write(w, g);
-        w
-    }
-
-    fn read(&self, w: u32) -> BGate {
-        let k = self.kinds.at(w).load(Ordering::Relaxed);
-        let a = self.opa.at(w).load(Ordering::Relaxed);
-        let b = self.opb.at(w).load(Ordering::Relaxed);
-        match k {
-            BK_CONST => BGate::Const(a == 1),
-            BK_INPUT => BGate::Input(a as usize),
-            BK_XOR => BGate::Xor(a, b),
-            BK_AND => BGate::And(a, b),
-            BK_NOT => BGate::Not(a),
-            BK_ASSERT => BGate::AssertFalse(a),
-            _ => unreachable!("read of an unwritten bit wire"),
-        }
-    }
-}
-
-/// One lowering task's view of the shared core: interns and pushes go to
-/// the concurrent store, and the wire returned by every attempt is logged
-/// in invocation order for the creator renumbering.
-struct ParTaskStore<'a> {
-    core: &'a ParLowerCore,
-    log: Vec<u32>,
-}
-
-impl BitRewrite for ParTaskStore<'_> {
-    fn push(&mut self, g: BGate) -> u32 {
-        // Uncached, like the sequential `push`: inputs and asserts are
-        // never deduplicated.
-        let w = self.core.alloc(g);
-        self.log.push(w);
-        w
-    }
-
-    fn intern(&mut self, key: BGate) -> u32 {
-        let core = self.core;
-        let (w, _created) = core.table.intern_with(pack_bkey(key), || core.alloc(key));
-        self.log.push(w);
-        w
-    }
-
-    fn not_operand(&self, w: u32) -> Option<u32> {
-        match self.core.read(w) {
-            BGate::Not(x) => Some(x),
-            _ => None,
-        }
-    }
-
-    /// `lower` exposes no fold statistics, so there is nothing to count.
-    fn count_fold(&mut self) {}
-}
-
-/// [`lower`], scheduled across `pool`'s workers: word gates of equal
-/// depth are expanded concurrently into the shared core, then the gate
-/// list is renumbered into sequential creation order. Produces the
-/// byte-identical [`BitCircuit`] for every evaluable circuit; a
-/// single-worker pool delegates to the sequential pass directly.
-///
-/// # Panics
-/// Panics if the circuit was built in count-only mode.
-fn lower_pooled(c: &Circuit, width: u32, pool: &Pool) -> BitCircuit {
-    assert!(c.is_evaluable(), "cannot lower a count-only circuit");
-    if pool.is_sequential() {
-        return lower_seq(c, width);
-    }
-    let w = width as usize;
-    let src = c.gates();
-    let depths = c.wire_depths();
-    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); c.depth() as usize + 1];
-    for (i, &d) in depths.iter().enumerate() {
-        levels[d as usize].push(i as u32);
-    }
-
-    let core = ParLowerCore::new();
-    // Per bit wire: packed `(word gate + 1) << 32 | attempt index` of the
-    // earliest attempt that produced it — the sequential creation point.
-    // The preseeded constants get the two smallest keys.
-    let mut creator: Vec<u64> = vec![0, 1];
-    let mut word_bits: Vec<Vec<u32>> = vec![Vec::new(); src.len()];
-    let mut num_input_bits = 0usize;
-
-    for idxs in &levels {
-        let done = pool.map(idxs.len(), |k| {
-            let mut store = ParTaskStore {
-                core: &core,
-                log: Vec::new(),
-            };
-            let bits = lower_gate(&mut store, src[idxs[k] as usize], &word_bits, w);
-            (bits, store.log)
-        });
-        let total = core.next.load(Ordering::Relaxed) as usize;
-        creator.resize(total, u64::MAX);
-        for (k, (bits, log)) in done.into_iter().enumerate() {
-            let i = idxs[k];
-            if let Gate::Input(idx) = src[i as usize] {
-                num_input_bits = num_input_bits.max((idx + 1) * w);
-            }
-            for (a, &wire) in log.iter().enumerate() {
-                let key = ((i as u64 + 1) << 32) | a as u64;
-                let slot = &mut creator[wire as usize];
-                if key < *slot {
-                    *slot = key;
-                }
-            }
-            word_bits[i as usize] = bits;
-        }
-    }
-
-    // Renumber into sequential creation order (= ascending creator), and
-    // re-canonicalize: commutative operand order depends on numbering.
-    let total = core.next.load(Ordering::Relaxed) as usize;
-    debug_assert_eq!(creator.len(), total);
-    debug_assert!(creator.iter().all(|&k| k != u64::MAX));
-    let mut order: Vec<u32> = (0..total as u32).collect();
-    order.sort_unstable_by_key(|&x| creator[x as usize]);
-    let mut renum = vec![0u32; total];
-    for (new, &old) in order.iter().enumerate() {
-        renum[old as usize] = new as u32;
-    }
-    let gates: Vec<BGate> = order
-        .iter()
-        .map(|&old| canon_bit(remap_bgate(core.read(old), &renum)))
-        .collect();
-    let outputs: Vec<u32> = c
-        .outputs()
-        .iter()
-        .flat_map(|&wid: &WireId| word_bits[wid as usize].iter().map(|&bw| renum[bw as usize]))
-        .collect();
-    BitCircuit::new(gates, outputs, num_input_bits, width)
-}
-
-/// Lowers a word circuit to bits under `opts`, scheduled across
-/// `opts.pool` (byte-identical [`BitCircuit`] for every worker count).
-/// See [`lower_seq`]'s width contract: every domain value must fit in
-/// `width` bits, with the all-ones word reserved for the `?` sentinel.
-///
-/// When `opts.recorder` is enabled the pass records a `lower` span and
-/// the headline bit-level gate counts; the produced circuit never
-/// depends on whether tracing was on.
-///
-/// # Panics
-/// Panics if the circuit was built in count-only mode.
-pub fn lower_with(c: &Circuit, width: u32, opts: &CompileOptions) -> BitCircuit {
-    let rec = &opts.recorder;
-    let _span = rec.span("lower");
-    let bc = lower_pooled(c, width, &opts.pool);
-    if rec.is_enabled() {
-        rec.add("lower.bit_gates", bc.gate_count());
-        rec.add("lower.and_gates", bc.and_count());
-        rec.add("lower.xor_gates", bc.xor_count());
-        rec.gauge_max("lower.and_depth", bc.and_depth() as u64);
-    }
-    bc
-}
-
-// ===================== parallel bit optimizer =====================
-
-/// Placeholder returned by [`BitSpec`] for a not-yet-committed creation.
-const BSPEC: u32 = u32::MAX - 1;
-
-/// The single table action one bit gate's rewrite performs, if any. The
-/// rule set guarantees at most one per source gate: every dispatch in
-/// [`rewrite_bit_gate`] ends in at most one `intern` or `push`, and the
-/// result is never consumed further within the same gate.
-#[derive(Clone, Copy, Debug)]
-enum BitAttempt {
-    /// Fold or passthrough: the result is an existing wire.
-    None,
-    /// Decision-time lookup hit this existing wire.
-    Hit(u32),
-    /// Missed the CSE table (interned kinds) or an uncached push (inputs,
-    /// asserts); commit re-runs it.
-    Create(BGate),
-}
-
-/// One bit gate's planned rewrite: its result (or [`BSPEC`]), the pending
-/// table action, and the exact counter deltas the sequential pass would
-/// record for it.
-struct BitDecision {
-    result: u32,
-    attempt: BitAttempt,
-    folds: u64,
-    cse_hits: u64,
-}
-
-/// Read-only speculative view of a [`Lowerer`] for the decision phase:
-/// same rules, but table misses record the pending action instead of
-/// mutating.
-struct BitSpec<'a> {
-    lw: &'a Lowerer,
-    folds: u64,
-    cse_hits: u64,
-    attempt: BitAttempt,
-}
-
-impl BitRewrite for BitSpec<'_> {
-    fn push(&mut self, g: BGate) -> u32 {
-        debug_assert!(
-            matches!(self.attempt, BitAttempt::None),
-            "a rule performs at most one table action"
-        );
-        self.attempt = BitAttempt::Create(g);
-        BSPEC
-    }
-
-    fn intern(&mut self, key: BGate) -> u32 {
-        debug_assert!(
-            matches!(self.attempt, BitAttempt::None),
-            "a rule performs at most one table action"
-        );
-        match self.lw.cse.get(&key) {
-            Some(&w) => {
-                self.cse_hits += 1;
-                self.attempt = BitAttempt::Hit(w);
-                w
-            }
-            None => {
-                self.attempt = BitAttempt::Create(key);
-                BSPEC
-            }
-        }
-    }
-
-    fn not_operand(&self, w: u32) -> Option<u32> {
-        match self.lw.gates[w as usize] {
-            BGate::Not(x) => Some(x),
-            _ => None,
-        }
-    }
-
-    fn count_fold(&mut self) {
-        self.folds += 1;
-    }
-}
-
-/// Runs the rewrite rules for one source gate against committed state
-/// only (operands sit at strictly lower levels).
-fn decide_bit(lw: &Lowerer, map: &[u32], g: BGate) -> BitDecision {
-    let mut sp = BitSpec {
-        lw,
-        folds: 0,
-        cse_hits: 0,
-        attempt: BitAttempt::None,
-    };
-    let result = rewrite_bit_gate(&mut sp, map, g);
-    BitDecision {
-        result,
-        attempt: sp.attempt,
-        folds: sp.folds,
-        cse_hits: sp.cse_hits,
-    }
-}
-
-/// Records a table attempt by source gate `i` that resolved to wire `w`:
-/// a fresh creation appends its creator, a hit lowers the existing one.
-/// Creator keys are `i + 2` so the preseeded constants sort first.
-fn note_bit_attempt(creator: &mut Vec<u32>, total: usize, w: u32, i: u32) {
-    let key = i + 2;
-    if creator.len() < total {
-        debug_assert_eq!(creator.len() + 1, total);
-        debug_assert_eq!(w as usize, total - 1);
-        creator.push(key);
-    } else if key < creator[w as usize] {
-        creator[w as usize] = key;
-    }
-}
-
-/// Groups source bit gates into dependency levels: sources at 0, every
-/// other kind strictly above all of its operands. (A scheduling depth —
-/// unrelated to AND depth, which treats XOR/NOT as free.)
+/// Groups bit gates into dependency levels for the level-major
+/// [`CompiledBitCircuit`](crate::CompiledBitCircuit) tape: sources at 0,
+/// every other kind strictly above all of its operands. (A scheduling
+/// depth — unrelated to AND depth, which treats XOR/NOT as free.)
 pub(crate) fn bit_levels(gates: &[BGate]) -> Vec<Vec<u32>> {
     let mut depth = vec![0u32; gates.len()];
     let mut max_d = 0u32;
@@ -1164,150 +823,6 @@ pub(crate) fn bit_levels(gates: &[BGate]) -> Vec<Vec<u32>> {
         levels[d as usize].push(i as u32);
     }
     levels
-}
-
-/// The level-parallel bit rewrite. Unlike the word-level pass there is no
-/// fallback: bit asserts are uncached pushes with no value tracking, so
-/// every gate — including one consuming an assert's wire — commits on the
-/// level schedule.
-fn rewrite_bits_par(bc: &BitCircuit, pool: &Pool) -> BitRewriteOut {
-    let src = &bc.gates;
-    let levels = bit_levels(src);
-    let mut lw = Lowerer::new();
-    // Per created wire: lowest source index that attempted it (offset by
-    // the two preseeded constants).
-    let mut creator: Vec<u32> = vec![0, 1];
-    let mut map: Vec<u32> = vec![u32::MAX; src.len()];
-
-    for idxs in &levels {
-        let decisions = pool.map(idxs.len(), |k| decide_bit(&lw, &map, src[idxs[k] as usize]));
-        for (d, &i) in decisions.iter().zip(idxs) {
-            lw.folds += d.folds;
-            lw.cse_hits += d.cse_hits;
-            let w = match d.attempt {
-                BitAttempt::None => d.result,
-                BitAttempt::Hit(w0) => {
-                    note_bit_attempt(&mut creator, lw.gates.len(), w0, i);
-                    d.result
-                }
-                BitAttempt::Create(g) => {
-                    let w = match g {
-                        // A same-level predecessor may have committed the
-                        // same key, in which case the re-intern becomes
-                        // the CSE hit the sequential pass would count.
-                        BGate::Input(_) | BGate::AssertFalse(_) => lw.push(g),
-                        g => lw.intern(g),
-                    };
-                    note_bit_attempt(&mut creator, lw.gates.len(), w, i);
-                    w
-                }
-            };
-            map[i as usize] = w;
-        }
-    }
-
-    // Renumber into sequential creation order (= ascending creator), and
-    // re-canonicalize: commutative operand order depends on numbering.
-    let n = lw.gates.len();
-    debug_assert_eq!(creator.len(), n);
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&x| creator[x as usize]);
-    let mut renum = vec![0u32; n];
-    for (new, &old) in order.iter().enumerate() {
-        renum[old as usize] = new as u32;
-    }
-    let gates: Vec<BGate> = order
-        .iter()
-        .map(|&old| canon_bit(remap_bgate(lw.gates[old as usize], &renum)))
-        .collect();
-    for m in &mut map {
-        *m = renum[*m as usize];
-    }
-    BitRewriteOut {
-        gates,
-        map,
-        cse_hits: lw.cse_hits,
-        folds: lw.folds,
-    }
-}
-
-/// Parallel liveness mark: same closure as [`mark_live_bits_seq`],
-/// computed in descending level waves (a gate's own flag is settled
-/// before its wave; it only stores into strictly lower levels, so waves
-/// never race).
-fn mark_live_bits_par(bc: &BitCircuit, out: &BitRewriteOut, pool: &Pool) -> Vec<bool> {
-    let n = out.gates.len();
-    let glevels = bit_levels(&out.gates);
-    let live: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    for &o in &bc.outputs {
-        live[out.map[o as usize] as usize].store(true, Ordering::Relaxed);
-    }
-    pool.run_chunks(n, pool.grain_for(n), |r| {
-        for w in r {
-            if matches!(out.gates[w], BGate::AssertFalse(_) | BGate::Input(_)) {
-                live[w].store(true, Ordering::Relaxed);
-            }
-        }
-    });
-    for lvl in glevels.iter().rev() {
-        pool.run_chunks(lvl.len(), pool.grain_for(lvl.len()), |r| {
-            for k in r {
-                let w = lvl[k] as usize;
-                if live[w].load(Ordering::Relaxed) {
-                    match out.gates[w] {
-                        BGate::Xor(a, b) | BGate::And(a, b) => {
-                            live[a as usize].store(true, Ordering::Relaxed);
-                            live[b as usize].store(true, Ordering::Relaxed);
-                        }
-                        BGate::Not(a) | BGate::AssertFalse(a) => {
-                            live[a as usize].store(true, Ordering::Relaxed);
-                        }
-                        BGate::Input(_) | BGate::Const(_) => {}
-                    }
-                }
-            }
-        });
-    }
-    live.into_iter().map(|b| b.into_inner()).collect()
-}
-
-/// [`optimize_bits_seq`], scheduled across `pool`'s workers. Produces
-/// the byte-identical `(BitCircuit, BitOptStats)` for every circuit; a
-/// single-worker pool delegates to the sequential pass directly.
-fn optimize_bits_pooled(bc: &BitCircuit, pool: &Pool) -> (BitCircuit, BitOptStats) {
-    if pool.is_sequential() {
-        return optimize_bits_seq(bc);
-    }
-    let out = rewrite_bits_par(bc, pool);
-    let live = mark_live_bits_par(bc, &out, pool);
-    assemble_bits(bc, out, &live)
-}
-
-/// Offline optimizer for bit circuits under `opts`: XOR/AND/NOT constant
-/// folding and identity rewrites, structural CSE, and assertion-safe DCE
-/// (asserts are roots; only an assert whose input folds to constant
-/// `false` is dropped), scheduled across `opts.pool` (byte-identical
-/// result for every worker count). Circuits freshly produced by
-/// [`lower_with`] are already folded online, so this pass mostly pays
-/// off on hand-assembled or deserialized bit circuits — and as the place
-/// where AND-count/AND-depth deltas are measured. Runs regardless of
-/// `opts.optimize` (that flag gates the *word-level* pass inside the
-/// compile driver; calling this function is already the opt-in).
-///
-/// When `opts.recorder` is enabled the pass records an `opt_bits` span
-/// and its headline counters.
-pub fn optimize_bits_with(bc: &BitCircuit, opts: &CompileOptions) -> (BitCircuit, BitOptStats) {
-    let rec = &opts.recorder;
-    let _span = rec.span("opt_bits");
-    let (opt, st) = optimize_bits_pooled(bc, &opts.pool);
-    if rec.is_enabled() {
-        rec.add("opt_bits.gates_before", st.gates_before);
-        rec.add("opt_bits.gates_after", st.gates_after);
-        rec.add("opt_bits.cse_hits", st.cse_hits);
-        rec.add("opt_bits.folds", st.folds);
-        rec.add("opt_bits.dead", st.dead);
-    }
-    (opt, st)
 }
 
 #[cfg(test)]
@@ -1511,38 +1026,6 @@ mod tests {
         b.finish(vec![acc, x])
     }
 
-    fn assert_same_lower(c: &Circuit, width: u32, threads: usize) {
-        let seq = lower_with(c, width, &CompileOptions::sequential());
-        let par = lower_with(
-            c,
-            width,
-            &CompileOptions::sequential().with_pool(Pool::new(threads)),
-        );
-        assert_eq!(par.gates(), seq.gates(), "threads={threads}");
-        assert_eq!(par.outputs(), seq.outputs(), "threads={threads}");
-        assert_eq!(par.num_inputs(), seq.num_inputs());
-        assert_eq!(par.width(), seq.width());
-    }
-
-    #[test]
-    fn parallel_lowering_is_byte_identical() {
-        let c = gnarly_word_circuit();
-        for threads in [1, 2, 3, 8] {
-            assert_same_lower(&c, 12, threads);
-        }
-    }
-
-    #[test]
-    fn parallel_lowering_matches_on_tiny_circuits() {
-        let mut b = Builder::new(Mode::Build);
-        let x = b.input();
-        b.assert_zero(x);
-        let c = b.finish(vec![x]);
-        for threads in [2, 8] {
-            assert_same_lower(&c, 8, threads);
-        }
-    }
-
     /// A hand-assembled bit DAG with duplicates (plain and commuted),
     /// folds, NOT chains, droppable and surviving asserts, and dead
     /// gates, from a fixed xorshift stream.
@@ -1579,37 +1062,29 @@ mod tests {
         BitCircuit::new(gates, vec![n - 1, n - 3, 7], 4, 1)
     }
 
-    fn assert_same_bitopt(bc: &BitCircuit, threads: usize) {
-        let (seq, seq_st) = optimize_bits_with(bc, &CompileOptions::sequential());
-        let (par, par_st) = optimize_bits_with(
-            bc,
-            &CompileOptions::sequential().with_pool(Pool::new(threads)),
-        );
-        assert_eq!(par.gates(), seq.gates(), "threads={threads}");
-        assert_eq!(par.outputs(), seq.outputs(), "threads={threads}");
-        assert_eq!(par.num_inputs(), seq.num_inputs());
-        assert_eq!(
-            format!("{par_st:?}"),
-            format!("{seq_st:?}"),
-            "threads={threads}"
-        );
-    }
-
     #[test]
-    fn parallel_bit_optimizer_is_byte_identical() {
-        let bc = gnarly_bit_circuit();
-        for threads in [1, 2, 3, 8] {
-            assert_same_bitopt(&bc, threads);
-        }
-    }
-
-    #[test]
-    fn parallel_bit_optimizer_matches_on_lowered_circuits() {
-        // Already folded online: exercises the Input/assert push paths
-        // and the passthrough-heavy rewrite.
+    fn bit_optimizer_preserves_semantics_on_gnarly_circuits() {
+        // The lowered circuit is already folded online: it exercises the
+        // Input/assert push paths and the passthrough-heavy rewrite.
         let lowered = lower_with(&gnarly_word_circuit(), 10, &CompileOptions::sequential());
-        for threads in [2, 8] {
-            assert_same_bitopt(&lowered, threads);
+        for bc in [gnarly_bit_circuit(), lowered] {
+            let (opt, st) = optimize_bits_with(&bc, &CompileOptions::sequential());
+            assert!(st.and_after <= st.and_before);
+            assert!(st.gates_after <= st.gates_before);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            for _ in 0..64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let inputs: Vec<bool> = (0..bc.num_inputs())
+                    .map(|i| (state >> (i % 64)) & 1 == 1)
+                    .collect();
+                match (bc.evaluate(&inputs), opt.evaluate(&inputs)) {
+                    (Ok(want), Ok(got)) => assert_eq!(got, want, "inputs {inputs:?}"),
+                    (Err(_), Err(_)) => {}
+                    other => panic!("optimizer changed the outcome on {inputs:?}: {other:?}"),
+                }
+            }
         }
     }
 

@@ -25,12 +25,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use qec_par::Pool;
-
 use crate::driver::CompileOptions;
 use crate::ir::{canon, Circuit, Gate, WireId};
 
-/// Counters describing one [`optimize`] run.
+/// Counters describing one [`optimize_with`] run.
 #[derive(Clone, Debug, Default)]
 pub struct OptStats {
     /// Logic gates in the source circuit.
@@ -66,8 +64,7 @@ pub struct OptStats {
     pub assert_origin: Vec<(u32, u32)>,
     /// Per-phase `(name, logic gates before, logic gates after)` in
     /// execution order — currently `rewrite` (fold/identity/CSE) then
-    /// `dce`. Deterministic: the sequential and parallel passes produce
-    /// identical vectors, and no timing data lives here (wall times
+    /// `dce`. Deterministic: no timing data lives here (wall times
     /// belong to the recorder, not to stats that parity tests compare).
     pub phase_gates: Vec<(&'static str, u64, u64)>,
 }
@@ -158,9 +155,7 @@ impl Rewriter {
         self.boolish.push(b);
         id
     }
-}
 
-impl Rewrite for Rewriter {
     fn v(&self, w: WireId) -> Option<u64> {
         self.val[w as usize]
     }
@@ -169,6 +164,7 @@ impl Rewrite for Rewriter {
         self.boolish[w as usize]
     }
 
+    /// The gate defining wire `w` (for the double-`Not` peephole).
     fn peek(&self, w: WireId) -> Gate {
         self.gates[w as usize]
     }
@@ -193,36 +189,8 @@ impl Rewrite for Rewriter {
         w
     }
 
-    fn count_fold(&mut self) {
-        self.folded += 1;
-    }
-
-    fn count_identity(&mut self) {
-        self.identities += 1;
-    }
-}
-
-/// The rewrite rules, written once against an abstract state interface.
-///
-/// Two implementors exist: [`Rewriter`] (the committing state used by the
-/// sequential pass and by the per-level commit step of the parallel pass)
-/// and [`Spec`] (a read-only speculative view of a `Rewriter` used by the
-/// parallel decision phase — it records the single would-be table action
-/// instead of mutating). Keeping one copy of the rule bodies is what
-/// makes the parallel pass byte-identical by construction: there is no
-/// second implementation to drift.
-trait Rewrite {
-    fn v(&self, w: WireId) -> Option<u64>;
-    fn is_bool(&self, w: WireId) -> bool;
-    /// The gate defining wire `w` (for the double-`Not` peephole).
-    fn peek(&self, w: WireId) -> Gate;
-    fn konst(&mut self, v: u64) -> WireId;
-    fn emit(&mut self, g: Gate) -> WireId;
-    fn count_fold(&mut self);
-    fn count_identity(&mut self);
-
     fn fold(&mut self, v: u64) -> WireId {
-        self.count_fold();
+        self.folded += 1;
         self.konst(v)
     }
 
@@ -233,10 +201,10 @@ trait Rewrite {
             return self.fold(u64::from(v != 0));
         }
         if self.is_bool(w) {
-            self.count_identity();
+            self.identities += 1;
             w
         } else {
-            self.count_identity();
+            self.identities += 1;
             self.emit(Gate::Or(w, w))
         }
     }
@@ -245,11 +213,11 @@ trait Rewrite {
         match (self.v(a), self.v(b)) {
             (Some(x), Some(y)) => self.fold(x.wrapping_add(y)),
             (Some(0), _) => {
-                self.count_identity();
+                self.identities += 1;
                 b
             }
             (_, Some(0)) => {
-                self.count_identity();
+                self.identities += 1;
                 a
             }
             _ => self.emit(Gate::Add(a, b)),
@@ -263,7 +231,7 @@ trait Rewrite {
         match (self.v(a), self.v(b)) {
             (Some(x), Some(y)) => self.fold(x.wrapping_sub(y)),
             (_, Some(0)) => {
-                self.count_identity();
+                self.identities += 1;
                 a
             }
             _ => self.emit(Gate::Sub(a, b)),
@@ -275,11 +243,11 @@ trait Rewrite {
             (Some(x), Some(y)) => self.fold(x.wrapping_mul(y)),
             (Some(0), _) | (_, Some(0)) => self.fold(0),
             (Some(1), _) => {
-                self.count_identity();
+                self.identities += 1;
                 b
             }
             (_, Some(1)) => {
-                self.count_identity();
+                self.identities += 1;
                 a
             }
             _ => self.emit(Gate::Mul(a, b)),
@@ -358,17 +326,17 @@ trait Rewrite {
 
     fn mux(&mut self, s: WireId, a: WireId, b: WireId) -> WireId {
         if let Some(sv) = self.v(s) {
-            self.count_identity();
+            self.identities += 1;
             return if sv != 0 { a } else { b };
         }
         if a == b {
-            self.count_identity();
+            self.identities += 1;
             return a;
         }
         match (self.v(a), self.v(b)) {
             (Some(1), Some(0)) => self.coerce_bool(s),
             (Some(0), Some(1)) => {
-                self.count_identity();
+                self.identities += 1;
                 self.not(s)
             }
             _ => self.emit(Gate::Mux(s, a, b)),
@@ -376,9 +344,9 @@ trait Rewrite {
     }
 }
 
-/// The sequential rewrite + DCE pass (see [`optimize_with`] for the
-/// public entry point and the semantics contract).
-fn optimize_seq(c: &Circuit) -> (Circuit, OptStats) {
+/// The rewrite + DCE pass (see [`optimize_with`] for the public entry
+/// point and the semantics contract).
+fn optimize(c: &Circuit) -> (Circuit, OptStats) {
     if !c.is_evaluable() {
         return (c.clone(), OptStats::passthrough(c));
     }
@@ -443,13 +411,12 @@ fn optimize_seq(c: &Circuit) -> (Circuit, OptStats) {
         asserts_before,
         always_fail,
     };
-    let live = mark_live_seq(c, &out);
+    let live = mark_live(c, &out);
     assemble(c, out, &live)
 }
 
 /// The rewritten (pre-DCE) gate list plus everything the sweep and the
-/// final stats need. Produced by both the sequential rewrite loop and the
-/// parallel level pipeline.
+/// final stats need.
 struct RewriteOut {
     gates: Vec<Gate>,
     /// Source wire → rewritten wire.
@@ -464,10 +431,10 @@ struct RewriteOut {
     always_fail: u64,
 }
 
-/// Sequential liveness mark. Roots: circuit outputs, every surviving
+/// Liveness mark. Roots: circuit outputs, every surviving
 /// assert, and all input gates (arity must be preserved). A single
 /// reverse pass suffices because the gate list is topologically ordered.
-fn mark_live_seq(c: &Circuit, out: &RewriteOut) -> Vec<bool> {
+fn mark_live(c: &Circuit, out: &RewriteOut) -> Vec<bool> {
     let n = out.gates.len();
     let mut live = vec![false; n];
     for &o in c.outputs() {
@@ -488,9 +455,7 @@ fn mark_live_seq(c: &Circuit, out: &RewriteOut) -> Vec<bool> {
     live
 }
 
-/// Sweep (compaction in id order) and final stats assembly, shared by the
-/// sequential and parallel passes so the produced `(Circuit, OptStats)`
-/// agree byte for byte whenever the rewrite outputs and live sets agree.
+/// Sweep (compaction in id order) and final stats assembly.
 fn assemble(c: &Circuit, out: RewriteOut, live: &[bool]) -> (Circuit, OptStats) {
     let n = out.gates.len();
     let mut remap = vec![WireId::MAX; n];
@@ -566,433 +531,9 @@ fn remap_gate(g: Gate, renum: &[WireId]) -> Gate {
     }
 }
 
-// ---------------------------------------------------------------------
-// Parallel pass.
-//
-// The sequential pass above is the reference; the parallel pass promises
-// the *byte-identical* `(Circuit, OptStats)`. It works in level waves
-// over the source circuit (a gate's operands sit at strictly smaller
-// depths, so by the time a level is processed every operand image is
-// committed):
-//
-//   1. decision phase (parallel): every gate of the level runs the full
-//      rule set (`Rewrite` impl'd by `Spec`) against the committed state
-//      only, recording the exact counter deltas and the single would-be
-//      table action (a rule fires at most one `konst`/`emit`);
-//   2. commit phase (sequential, in source order within the level):
-//      deltas are applied and pending actions resolve against the live
-//      tables — a same-level predecessor may have created the gate, in
-//      which case the commit becomes the CSE hit the sequential pass
-//      would have counted.
-//
-// Wire numbering under this schedule differs from the sequential pass
-// (levels interleave differently than source order), so every table
-// attempt records the *source index* of its gate; since any wire's first
-// attempt is the one that creates it sequentially, renumbering created
-// wires by minimum attempt index restores the exact sequential
-// numbering. Asserts are deferred to a post-pass in source order (their
-// dedup winner is the lowest source index, which a level schedule cannot
-// know in-flight); the renumbering slots their gates correctly anyway.
-// The one construct the schedule cannot reproduce is a gate *consuming*
-// an assert's own wire before the post-pass resolves it — detected via a
-// sentinel image, and the whole pass falls back to the sequential
-// reference (operator circuits never feed assert wires forward).
-// ---------------------------------------------------------------------
-
-/// Unresolved assert image in `map` (asserts resolve in the post-pass).
-const SENTINEL: WireId = WireId::MAX;
-/// Placeholder returned by `Spec` for a not-yet-committed creation.
-const SPEC_WIRE: WireId = WireId::MAX - 1;
-
-/// The single table action a gate's rule run performs, if any.
-#[derive(Clone, Copy, Debug)]
-enum Attempt {
-    /// Identity rewrite: the result is an existing wire, no table lookup.
-    None,
-    /// Decision-time lookup hit this existing wire.
-    Hit(WireId),
-    /// Missed the const table; commit must `konst(v)`.
-    CreateConst(u64),
-    /// Missed the CSE table; commit must `emit` (key already canonical).
-    CreateGate(Gate),
-}
-
-/// One gate's planned rewrite: its result (or [`SPEC_WIRE`]), the pending
-/// table action, and the exact counter deltas the sequential pass would
-/// record for it.
-struct Decision {
-    result: WireId,
-    attempt: Attempt,
-    folded: u64,
-    identities: u64,
-    cse_hits: u64,
-}
-
-enum Planned {
-    /// Resolved in the post-pass.
-    Assert,
-    /// An operand is an unresolved assert wire: take the sequential path.
-    Fallback,
-    Do(Decision),
-}
-
-/// Read-only speculative view of a [`Rewriter`] for the decision phase:
-/// same rules, but table misses record the pending action instead of
-/// mutating.
-struct Spec<'a> {
-    rw: &'a Rewriter,
-    folded: u64,
-    identities: u64,
-    cse_hits: u64,
-    attempt: Attempt,
-}
-
-impl Rewrite for Spec<'_> {
-    fn v(&self, w: WireId) -> Option<u64> {
-        self.rw.val[w as usize]
-    }
-
-    fn is_bool(&self, w: WireId) -> bool {
-        self.rw.boolish[w as usize]
-    }
-
-    fn peek(&self, w: WireId) -> Gate {
-        self.rw.gates[w as usize]
-    }
-
-    fn konst(&mut self, v: u64) -> WireId {
-        debug_assert!(
-            matches!(self.attempt, Attempt::None),
-            "a rule performs at most one table action"
-        );
-        match self.rw.consts.get(&v) {
-            Some(&w) => {
-                self.attempt = Attempt::Hit(w);
-                w
-            }
-            None => {
-                self.attempt = Attempt::CreateConst(v);
-                SPEC_WIRE
-            }
-        }
-    }
-
-    fn emit(&mut self, g: Gate) -> WireId {
-        debug_assert!(
-            matches!(self.attempt, Attempt::None),
-            "a rule performs at most one table action"
-        );
-        let key = canon(g);
-        match self.rw.cse.get(&key) {
-            Some(&w) => {
-                self.cse_hits += 1;
-                self.attempt = Attempt::Hit(w);
-                w
-            }
-            None => {
-                self.attempt = Attempt::CreateGate(key);
-                SPEC_WIRE
-            }
-        }
-    }
-
-    fn count_fold(&mut self) {
-        self.folded += 1;
-    }
-
-    fn count_identity(&mut self) {
-        self.identities += 1;
-    }
-}
-
-/// Runs the rule set for one source gate against committed state only.
-fn decide(rw: &Rewriter, map: &[WireId], g: Gate) -> Planned {
-    for op in g.operands().iter().flatten() {
-        if map[*op as usize] >= SPEC_WIRE {
-            return Planned::Fallback;
-        }
-    }
-    let m = |w: WireId| map[w as usize];
-    let mut sp = Spec {
-        rw,
-        folded: 0,
-        identities: 0,
-        cse_hits: 0,
-        attempt: Attempt::None,
-    };
-    let result = match g {
-        Gate::Add(a, b) => sp.add(m(a), m(b)),
-        Gate::Sub(a, b) => sp.sub(m(a), m(b)),
-        Gate::Mul(a, b) => sp.mul(m(a), m(b)),
-        Gate::Eq(a, b) => sp.eq(m(a), m(b)),
-        Gate::Lt(a, b) => sp.lt(m(a), m(b)),
-        Gate::And(a, b) => sp.and(m(a), m(b)),
-        Gate::Or(a, b) => sp.or(m(a), m(b)),
-        Gate::Xor(a, b) => sp.xor(m(a), m(b)),
-        Gate::Not(a) => sp.not(m(a)),
-        Gate::Mux(s, a, b) => sp.mux(m(s), m(a), m(b)),
-        Gate::Input(_) | Gate::Const(_) | Gate::AssertZero(_) => {
-            unreachable!("handled outside the decision phase")
-        }
-    };
-    Planned::Do(Decision {
-        result,
-        attempt: sp.attempt,
-        folded: sp.folded,
-        identities: sp.identities,
-        cse_hits: sp.cse_hits,
-    })
-}
-
-/// Records a table attempt by source gate `i` that resolved to wire `w`:
-/// a fresh creation appends its creator, a hit lowers the existing one.
-/// `total` is the wire count *after* the attempt.
-fn note_attempt(creator: &mut Vec<u32>, total: usize, w: WireId, i: u32) {
-    if creator.len() < total {
-        debug_assert_eq!(creator.len() + 1, total);
-        debug_assert_eq!(w as usize, total - 1);
-        creator.push(i);
-    } else if i < creator[w as usize] {
-        creator[w as usize] = i;
-    }
-}
-
-/// The level-parallel rewrite. `None` means an assert wire was consumed
-/// before its post-pass resolution — take the sequential path instead.
-fn rewrite_par(c: &Circuit, pool: &Pool) -> Option<RewriteOut> {
-    let src = c.gates();
-    let depths = c.wire_depths();
-    let mut levels: Vec<Vec<u32>> = vec![Vec::new(); c.depth() as usize + 1];
-    for (i, &d) in depths.iter().enumerate() {
-        levels[d as usize].push(i as u32);
-    }
-
-    let mut rw = Rewriter::new(src.len());
-    // Per created wire: lowest source index that attempted it. Distinct
-    // across wires (a source gate makes at most one attempt), and the
-    // first attempt is the one that creates the wire sequentially.
-    let mut creator: Vec<u32> = Vec::with_capacity(src.len());
-    let mut map: Vec<WireId> = vec![SENTINEL; src.len()];
-    // (source index, image wire) per assert, resolved in the post-pass.
-    let mut assert_images: Vec<(u32, WireId)> = Vec::new();
-
-    for (lvl, idxs) in levels.iter().enumerate() {
-        if lvl == 0 {
-            // Inputs and constants; sequential, they are trivially cheap.
-            for &i in idxs {
-                let w = match src[i as usize] {
-                    Gate::Input(idx) => {
-                        let w = rw.raw_push(Gate::Input(idx));
-                        creator.push(i);
-                        w
-                    }
-                    Gate::Const(v) => {
-                        let w = rw.konst(v);
-                        note_attempt(&mut creator, rw.gates.len(), w, i);
-                        w
-                    }
-                    _ => unreachable!("depth-0 gates are inputs and constants"),
-                };
-                map[i as usize] = w;
-            }
-            continue;
-        }
-        let planned = pool.map(idxs.len(), |k| {
-            let i = idxs[k] as usize;
-            match src[i] {
-                Gate::AssertZero(_) => Planned::Assert,
-                g => decide(&rw, &map, g),
-            }
-        });
-        for (k, &i) in idxs.iter().enumerate() {
-            match &planned[k] {
-                Planned::Fallback => return None,
-                Planned::Assert => {
-                    let Gate::AssertZero(a) = src[i as usize] else {
-                        unreachable!()
-                    };
-                    let img = map[a as usize];
-                    if img >= SPEC_WIRE {
-                        // Assert over an assert's own wire.
-                        return None;
-                    }
-                    assert_images.push((i, img));
-                    // map[i] stays SENTINEL; any consumer falls back.
-                }
-                Planned::Do(d) => {
-                    rw.folded += d.folded;
-                    rw.identities += d.identities;
-                    rw.cse_hits += d.cse_hits;
-                    let w = match d.attempt {
-                        Attempt::None => d.result,
-                        Attempt::Hit(w0) => {
-                            note_attempt(&mut creator, rw.gates.len(), w0, i);
-                            d.result
-                        }
-                        Attempt::CreateConst(v) => {
-                            let w = rw.konst(v);
-                            note_attempt(&mut creator, rw.gates.len(), w, i);
-                            w
-                        }
-                        // A same-level predecessor may have committed the
-                        // same key, in which case this becomes the CSE
-                        // hit the sequential pass would count.
-                        Attempt::CreateGate(g) => {
-                            let w = rw.emit(g);
-                            note_attempt(&mut creator, rw.gates.len(), w, i);
-                            w
-                        }
-                    };
-                    map[i as usize] = w;
-                }
-            }
-        }
-    }
-
-    // Deferred asserts, in source order: the dedup winner for a given
-    // image is the lowest source index, exactly the sequential choice.
-    assert_images.sort_unstable_by_key(|&(i, _)| i);
-    let mut seen_asserts: HashSet<WireId> = HashSet::new();
-    let mut assert_origin: Vec<(u32, u32)> = Vec::new();
-    let mut asserts_before = 0u64;
-    let mut always_fail = 0u64;
-    for &(i, img) in &assert_images {
-        asserts_before += 1;
-        let w = match rw.v(img) {
-            Some(0) => {
-                let w = rw.konst(0);
-                note_attempt(&mut creator, rw.gates.len(), w, i);
-                w
-            }
-            opt_v => {
-                if seen_asserts.insert(img) {
-                    if opt_v.is_some() {
-                        always_fail += 1;
-                    }
-                    let w = rw.raw_push(Gate::AssertZero(img));
-                    creator.push(i);
-                    assert_origin.push((w, i));
-                    w
-                } else {
-                    let w = rw.konst(0);
-                    note_attempt(&mut creator, rw.gates.len(), w, i);
-                    w
-                }
-            }
-        };
-        map[i as usize] = w;
-    }
-
-    // Renumber into sequential creation order (= ascending creator), and
-    // re-canonicalize: commutative operand order depends on numbering.
-    let n = rw.gates.len();
-    debug_assert_eq!(creator.len(), n);
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&w| creator[w as usize]);
-    let mut renum = vec![0u32; n];
-    for (new, &old) in order.iter().enumerate() {
-        renum[old as usize] = new as u32;
-    }
-    let gates: Vec<Gate> = order
-        .iter()
-        .map(|&old| canon(remap_gate(rw.gates[old as usize], &renum)))
-        .collect();
-    for m in &mut map {
-        *m = renum[*m as usize];
-    }
-    let mut assert_origin: Vec<(u32, u32)> = assert_origin
-        .into_iter()
-        .map(|(w, i)| (renum[w as usize], i))
-        .collect();
-    assert_origin.sort_unstable_by_key(|&(w, _)| w);
-
-    Some(RewriteOut {
-        gates,
-        map,
-        assert_origin,
-        folded: rw.folded,
-        identities: rw.identities,
-        cse_hits: rw.cse_hits,
-        asserts_before,
-        always_fail,
-    })
-}
-
-/// Parallel liveness mark: same closure as [`mark_live_seq`], computed in
-/// descending level waves (a gate's own flag is settled before its wave;
-/// it only stores into strictly lower levels, so waves never race).
-fn mark_live_par(c: &Circuit, out: &RewriteOut, pool: &Pool) -> Vec<bool> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let n = out.gates.len();
-    let mut depth = vec![0u32; n];
-    let mut max_d = 0u32;
-    for w in 0..n {
-        let d = out.gates[w]
-            .operands()
-            .iter()
-            .flatten()
-            .map(|&op| depth[op as usize] + 1)
-            .max()
-            .unwrap_or(0);
-        depth[w] = d;
-        max_d = max_d.max(d);
-    }
-    let mut glevels: Vec<Vec<u32>> = vec![Vec::new(); max_d as usize + 1];
-    for (w, &d) in depth.iter().enumerate() {
-        glevels[d as usize].push(w as u32);
-    }
-
-    let live: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    for &o in c.outputs() {
-        live[out.map[o as usize] as usize].store(true, Ordering::Relaxed);
-    }
-    pool.run_chunks(n, pool.grain_for(n), |r| {
-        for w in r {
-            if matches!(out.gates[w], Gate::AssertZero(_) | Gate::Input(_)) {
-                live[w].store(true, Ordering::Relaxed);
-            }
-        }
-    });
-    for lvl in glevels.iter().rev() {
-        pool.run_chunks(lvl.len(), pool.grain_for(lvl.len()), |r| {
-            for k in r {
-                let w = lvl[k] as usize;
-                if live[w].load(Ordering::Relaxed) {
-                    for op in out.gates[w].operands().iter().flatten() {
-                        live[*op as usize].store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-    }
-    live.into_iter().map(|b| b.into_inner()).collect()
-}
-
-/// [`optimize_seq`], scheduled across `pool`'s workers. Produces the
-/// byte-identical `(Circuit, OptStats)` — including [`OptStats::assert_origin`]
-/// — for every circuit; a single-worker pool (and the rare circuit that
-/// feeds an assert's own wire into a later gate) delegates to the
-/// sequential pass directly.
-fn optimize_pooled(c: &Circuit, pool: &Pool) -> (Circuit, OptStats) {
-    if !c.is_evaluable() {
-        return (c.clone(), OptStats::passthrough(c));
-    }
-    if pool.is_sequential() {
-        return optimize_seq(c);
-    }
-    match rewrite_par(c, pool) {
-        Some(out) => {
-            let live = mark_live_par(c, &out, pool);
-            assemble(c, out, &live)
-        }
-        None => optimize_seq(c),
-    }
-}
-
 /// Optimizes a circuit under `opts`: constant folding, algebraic
 /// identity rewrites, structural CSE, and assertion-safe mark-and-sweep
-/// DCE, scheduled across `opts.pool` (byte-identical result — including
-/// [`OptStats::assert_origin`] — for every worker count).
+/// DCE.
 ///
 /// Count-only circuits, and any circuit when `opts.optimize` is off,
 /// pass through unchanged. Output order and input arity are always
@@ -1008,7 +549,7 @@ pub fn optimize_with(c: &Circuit, opts: &CompileOptions) -> (Circuit, OptStats) 
     }
     let rec = &opts.recorder;
     let _span = rec.span("optimize");
-    let (opt, st) = optimize_pooled(c, &opts.pool);
+    let (opt, st) = optimize(c);
     if rec.is_enabled() {
         rec.add("opt.gates_before", st.gates_before);
         rec.add("opt.gates_after", st.gates_after);
@@ -1272,65 +813,35 @@ mod tests {
         b.finish(vec![m1, xr, lt, deep, x])
     }
 
-    fn assert_same_opt(c: &Circuit, threads: usize) {
-        let (seq_c, seq_st) = optimize_with(c, &CompileOptions::sequential());
-        let (par_c, par_st) = optimize_with(
-            c,
-            &CompileOptions::sequential().with_pool(Pool::new(threads)),
-        );
-        assert_eq!(par_c.gates(), seq_c.gates(), "threads={threads}");
-        assert_eq!(par_c.outputs(), seq_c.outputs(), "threads={threads}");
-        assert_eq!(par_c.num_inputs(), seq_c.num_inputs());
-        assert_eq!(
-            format!("{par_st:?}"),
-            format!("{seq_st:?}"),
-            "threads={threads}"
-        );
-    }
-
     #[test]
-    fn parallel_optimize_is_byte_identical() {
+    fn every_rewrite_family_at_once_keeps_assert_semantics() {
         let c = gnarly_circuit();
-        for threads in [1, 2, 3, 8] {
-            assert_same_opt(&c, threads);
-        }
-    }
-
-    #[test]
-    fn parallel_optimize_falls_back_on_consumed_assert_wires() {
-        // The level schedule cannot resolve an assert wire in-flight;
-        // consuming one must fall back to (and so agree with) the
-        // sequential pass.
-        let mut b = Builder::without_cse(Mode::Build);
-        let x = b.input();
-        let y = b.input();
-        let d = b.sub(x, y);
-        let aw = b.assert_zero(d);
-        let o = b.add(aw, x); // consumes the assert's own wire
-        let c = b.finish(vec![o]);
-        for threads in [2, 4] {
-            assert_same_opt(&c, threads);
-        }
-    }
-
-    #[test]
-    fn parallel_optimize_matches_on_wide_flat_circuits() {
-        // Many independent same-level gates: exercises same-level CSE
-        // commits and the creator renumbering.
-        let mut b = Builder::without_cse(Mode::Build);
-        let xs: Vec<_> = (0..32).map(|_| b.input()).collect();
-        let mut outs = Vec::new();
-        for i in 0..32 {
-            for j in 0..4 {
-                let s = b.add(xs[i], xs[(i + j) % 32]);
-                let t = b.add(xs[(i + j) % 32], xs[i]); // canon dup
-                let u = b.mul(s, t);
-                outs.push(u);
+        let (opt, st) = optimize_with(&c, &CompileOptions::sequential());
+        assert_eq!(st.asserts_before, 4);
+        assert_eq!(
+            st.asserts_after, 2,
+            "duplicate and provably-passing asserts go"
+        );
+        assert_eq!(st.always_fail, 1);
+        assert!(st.folded > 0 && st.identities > 0 && st.dead > 0);
+        // x != y trips the first assert; x == y reaches the always-fail one.
+        for inp in [[3u64, 5, 7], [4, 4, 0], [0, 0, u64::MAX]] {
+            match (c.evaluate(&inp), opt.evaluate(&inp)) {
+                (
+                    Err(EvalError::AssertionFailed {
+                        gate: sg,
+                        value: sv,
+                    }),
+                    Err(EvalError::AssertionFailed {
+                        gate: og,
+                        value: ov,
+                    }),
+                ) => {
+                    assert_eq!(sv, ov, "input {inp:?}");
+                    assert_eq!(st.origin_of(og as u32), Some(sg as u32), "input {inp:?}");
+                }
+                other => panic!("expected assertion failures on {inp:?}, got {other:?}"),
             }
-        }
-        let c = b.finish(outs);
-        for threads in [2, 8] {
-            assert_same_opt(&c, threads);
         }
     }
 

@@ -189,9 +189,8 @@ pub fn sort_slots_network(
     // lexicographic compare plus a mux per carried wire. A comparator
     // depends only on the latest earlier comparator touching either of
     // its lanes, so a greedy pass groups the schedule into conflict-free
-    // layers: the data-flow DAG is unchanged, and `fork_join` can emit
-    // each layer's comparators from multiple workers (on a sequential
-    // builder the layers simply run in order).
+    // layers: the data-flow DAG is unchanged, and emitting the
+    // comparators layer by layer fixes the circuit's gate order.
     let schedule = comparators(network, padded);
     let mut layer_of = vec![0usize; schedule.len()];
     let mut last_on_lane = vec![usize::MAX; padded];
@@ -212,35 +211,30 @@ pub fn sort_slots_network(
         layers[l].push(k);
     }
 
-    for layer in &layers {
-        let swapped = b.fork_join(layer.len(), |t, bb| {
-            let (i, j, ascending) = schedule[layer[t]];
+    for &k in layers.iter().flatten() {
+        let (i, j, ascending) = schedule[k];
+        let (new_i, new_j) = {
             let (ei, ej) = (&elems[i], &elems[j]);
-            let swap_raw = bb.lex_lt(&ej.key, &ei.key);
-            let swap = if ascending {
-                swap_raw
-            } else {
-                bb.not(swap_raw)
-            };
+            let swap_raw = b.lex_lt(&ej.key, &ei.key);
+            let swap = if ascending { swap_raw } else { b.not(swap_raw) };
             let new_i = Elem {
-                fields: bb.vec_mux(swap, &ej.fields, &ei.fields),
-                valid: bb.mux(swap, ej.valid, ei.valid),
-                extra: bb.vec_mux(swap, &ej.extra, &ei.extra),
-                key: bb.vec_mux(swap, &ej.key, &ei.key),
+                fields: b.vec_mux(swap, &ej.fields, &ei.fields),
+                valid: b.mux(swap, ej.valid, ei.valid),
+                extra: b.vec_mux(swap, &ej.extra, &ei.extra),
+                key: b.vec_mux(swap, &ej.key, &ei.key),
             };
             let new_j = Elem {
-                fields: bb.vec_mux(swap, &ei.fields, &ej.fields),
-                valid: bb.mux(swap, ei.valid, ej.valid),
-                extra: bb.vec_mux(swap, &ei.extra, &ej.extra),
-                key: bb.vec_mux(swap, &ei.key, &ej.key),
+                fields: b.vec_mux(swap, &ei.fields, &ej.fields),
+                valid: b.mux(swap, ei.valid, ej.valid),
+                extra: b.vec_mux(swap, &ei.extra, &ej.extra),
+                key: b.vec_mux(swap, &ei.key, &ej.key),
             };
             (new_i, new_j)
-        });
-        for (t, (new_i, new_j)) in swapped.into_iter().enumerate() {
-            let (i, j, _) = schedule[layer[t]];
-            elems[i] = new_i;
-            elems[j] = new_j;
-        }
+        };
+        // Comparators within a layer touch disjoint lanes, so updating
+        // in place leaves the rest of the layer unaffected.
+        elems[i] = new_i;
+        elems[j] = new_j;
     }
 
     // Real slots all sort before padding (padding keys are maximal), so

@@ -19,7 +19,7 @@ use qec_circuit::{
     aggregate as c_aggregate, decompose as c_decompose, join_degree_bounded, join_output_bounded,
     join_pk, project as c_project, select as c_select, semijoin as c_semijoin,
     truncate as c_truncate, union as c_union, AggOp, Builder, Circuit, CompileOptions, InputLayout,
-    Mode, Pool, RelWires, SlotWires,
+    Mode, RelWires, SlotWires,
 };
 use qec_relation::{AggKind, Database, Relation, Var, VarSet};
 
@@ -616,29 +616,19 @@ impl RelationalCircuit {
     }
 
     /// Lowers the relational circuit to a word-level oblivious circuit
-    /// (Sec. 5) under environment defaults (`QEC_THREADS`, `QEC_TRACE`):
+    /// (Sec. 5) under environment defaults (`QEC_TRACE`, `QEC_VALIDATE`):
     /// each gate becomes the corresponding `qec-circuit` construction
     /// sized by this circuit's wire bounds.
     pub fn lower(&self, mode: Mode) -> LoweredCircuit {
         self.lower_with(mode, &CompileOptions::from_env())
     }
 
-    /// [`RelationalCircuit::lower`] under explicit [`CompileOptions`]:
-    /// with a multi-worker pool the word builder runs in its parallel
-    /// mode (sharded hash-consing plus deterministic replay), so
-    /// per-operator circuit blocks can be emitted from multiple workers
-    /// while the finished circuit stays byte-identical to the sequential
-    /// build. When `opts.recorder` is enabled the whole word-circuit
+    /// [`RelationalCircuit::lower`] under explicit [`CompileOptions`].
+    /// When `opts.recorder` is enabled the whole word-circuit
     /// construction is recorded as a `build` span.
     pub fn lower_with(&self, mode: Mode, opts: &CompileOptions) -> LoweredCircuit {
         let _span = opts.recorder.span("build");
-        let pool = opts.pool;
-        let b = if pool.is_sequential() {
-            Builder::new(mode)
-        } else {
-            Builder::with_pool(mode, pool)
-        };
-        self.lower_into(b)
+        self.lower_into(Builder::new(mode))
     }
 
     /// Measurement baseline: the same lowering with the builder's online
@@ -935,16 +925,6 @@ impl RelationalCircuit {
             layout,
             outputs: out_meta,
         }
-    }
-
-    /// Pool-selecting alias for [`RelationalCircuit::lower_with`], kept
-    /// for source compatibility.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `lower_with(mode, &CompileOptions::sequential().with_pool(pool))`"
-    )]
-    pub fn lower_with_pool(&self, mode: Mode, pool: Pool) -> LoweredCircuit {
-        self.lower_with(mode, &CompileOptions::sequential().with_pool(pool))
     }
 }
 

@@ -18,9 +18,9 @@
 //! * an explicit recorder handed around by the driver layer
 //!   (`qec-circuit`'s `CompileOptions`), which owns the stage spans; and
 //! * the process-global recorder ([`global`]/[`install`]), which the
-//!   low-level layers (the `qec-par` pool, the builder's hash-cons
-//!   tables) flush into, because threading a handle through every
-//!   worker closure would put observability into hot signatures.
+//!   low-level layers (the builder's hash-cons table) flush into,
+//!   because threading a handle through every builder call would put
+//!   observability into hot signatures.
 //!
 //! With `QEC_TRACE=1` the driver layer defaults to the global recorder,
 //! so both sinks are the same object and one export contains the whole

@@ -1,48 +1,21 @@
-//! A minimal scoped work-stealing thread pool for the circuit compile
-//! pipeline.
+//! The worker-count knob: `QEC_THREADS`, parsed once and validated.
 //!
-//! The build environment is offline (no rayon), so this crate implements
-//! the one scheduling primitive the pipeline needs: run `n` independent
-//! index-addressed tasks across a bounded set of workers, with chunked
-//! deal-out and back-steals so uneven task costs (a huge sort network next
-//! to a trivial mux column) still balance. It follows the
-//! `std::thread::scope` pattern already proven by the evaluation engine's
-//! level-parallel interpreter: no persistent threads, no unsafe lifetime
-//! extension — every parallel region owns its workers and joins them
-//! before returning, so borrowed closures are sound by construction.
-//!
-//! Scheduling model: each worker owns a deque of chunk ranges, dealt out
-//! contiguously (worker 0 gets the first block, etc., which keeps index
-//! locality). Workers pop their own deque from the front and steal from
-//! the *back* of a victim's deque when empty. No tasks are injected after
-//! the region starts, so "all deques empty" is a correct termination
-//! condition. The calling thread participates as worker 0; a pool with
-//! one thread (or one task) degrades to a plain inline loop with zero
-//! synchronization, which is what keeps single-threaded determinism
-//! trivially byte-identical.
+//! The compile pipeline is sequential; the one reader of this crate is
+//! `qec-serve`, which sizes its worker threads from
+//! [`Pool::from_env`]. A malformed value falls back to the machine's
+//! parallelism, loudly (see [`Pool::from_env`]).
 
-use std::collections::VecDeque;
-use std::mem::MaybeUninit;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
-
-/// Environment variable controlling the default worker count used by
-/// [`Pool::from_env`] (and therefore by every pool-aware entry point that
-/// defaults its pool): unset or unparsable means
+/// Environment variable controlling the worker count returned by
+/// [`Pool::from_env`]: unset or unparsable means
 /// `std::thread::available_parallelism()`.
 pub const THREADS_ENV: &str = "QEC_THREADS";
 
-/// A worker-count handle. `Pool` is deliberately trivial to copy and keep
-/// around: it owns no threads. Each parallel region ([`Pool::run_chunks`],
-/// [`Pool::map`]) spawns scoped workers for just that region.
+/// A worker count. `Pool` is deliberately trivial to copy and keep
+/// around: it owns no threads; callers spawn their own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
 }
-
-type ChunkQueue = Mutex<VecDeque<Range<usize>>>;
 
 impl Pool {
     /// A pool running `threads` workers (clamped to at least 1).
@@ -52,8 +25,7 @@ impl Pool {
         }
     }
 
-    /// The single-threaded pool: every operation runs inline on the
-    /// calling thread.
+    /// The one-worker pool.
     pub fn sequential() -> Self {
         Pool { threads: 1 }
     }
@@ -86,154 +58,6 @@ impl Pool {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// True when every operation runs inline (one worker).
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// The default chunk size for `n` tasks: ~8 chunks per worker so
-    /// back-steals have something to grab, but never below 1.
-    pub fn grain_for(&self, n: usize) -> usize {
-        (n / (self.threads * 8)).max(1)
-    }
-
-    /// Runs `f` over every index range covering `0..n`, split into chunks
-    /// of ~`grain` indices, across the pool's workers. Each index is
-    /// covered exactly once. Blocks until all chunks are done; panics in
-    /// any worker propagate.
-    pub fn run_chunks<F>(&self, n: usize, grain: usize, f: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        if n == 0 {
-            return;
-        }
-        let grain = grain.max(1);
-        let chunks: Vec<Range<usize>> = (0..n)
-            .step_by(grain)
-            .map(|s| s..(s + grain).min(n))
-            .collect();
-        let workers = self.threads.min(chunks.len());
-        if workers <= 1 {
-            for c in chunks {
-                f(c);
-            }
-            return;
-        }
-        // Contiguous deal-out: worker w owns chunks [w*per .. (w+1)*per).
-        // Rounding can leave fewer blocks than workers; spawn one worker
-        // per block, never more.
-        let per = chunks.len().div_ceil(workers);
-        let num_chunks = chunks.len();
-        let queues: Vec<ChunkQueue> = chunks
-            .chunks(per)
-            .map(|block| Mutex::new(block.iter().cloned().collect()))
-            .collect();
-        let workers = queues.len();
-        // Observability: when the process-global recorder is live, count
-        // tasks/steals and accumulate per-worker busy nanoseconds. The
-        // untraced path pays exactly one recorder-enabled check per
-        // parallel region — nothing per chunk.
-        let rec = qec_obs::global();
-        let traced = rec.is_enabled();
-        let busy_ns: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let steals: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let region_start = Instant::now();
-        let work = |me: usize| loop {
-            let mine = queues[me].lock().unwrap().pop_front();
-            let job = match mine {
-                Some(j) => j,
-                None => {
-                    let mut stolen = None;
-                    for off in 1..queues.len() {
-                        let victim = (me + off) % queues.len();
-                        if let Some(j) = queues[victim].lock().unwrap().pop_back() {
-                            stolen = Some(j);
-                            break;
-                        }
-                    }
-                    match stolen {
-                        Some(j) => {
-                            if traced {
-                                steals[me].fetch_add(1, Ordering::Relaxed);
-                            }
-                            j
-                        }
-                        None => return,
-                    }
-                }
-            };
-            if traced {
-                let t0 = Instant::now();
-                f(job);
-                busy_ns[me].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            } else {
-                f(job);
-            }
-        };
-        std::thread::scope(|s| {
-            for w in 1..workers {
-                let work = &work;
-                s.spawn(move || work(w));
-            }
-            work(0);
-        });
-        if traced {
-            rec.add("pool.regions", 1);
-            rec.add("pool.tasks", num_chunks as u64);
-            let total_steals: u64 = steals.iter().map(|s| s.load(Ordering::Relaxed)).sum();
-            rec.add("pool.steals", total_steals);
-            for (w, busy) in busy_ns.iter().enumerate() {
-                let ns = busy.load(Ordering::Relaxed);
-                rec.add(&format!("pool.worker.{w}.busy_ns"), ns);
-                rec.add("pool.busy_ns", ns);
-            }
-            rec.record_span(
-                "pool.region",
-                region_start,
-                region_start.elapsed().as_nanos() as u64,
-            );
-        }
-    }
-
-    /// Computes `f(i)` for every `i in 0..n` across the pool's workers and
-    /// returns the results in index order. Each slot is written exactly
-    /// once (the chunk ranges partition `0..n`), so the uninitialized
-    /// buffer is fully initialized when `run_chunks` returns.
-    pub fn map<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if self.threads <= 1 || n <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let mut out: Vec<MaybeUninit<R>> = Vec::with_capacity(n);
-        out.resize_with(n, MaybeUninit::uninit);
-        let ptr = SendPtr(out.as_mut_ptr());
-        self.run_chunks(n, self.grain_for(n), |range| {
-            let p = &ptr;
-            for i in range {
-                // SAFETY: ranges from run_chunks are disjoint and cover
-                // 0..n, so each slot is written exactly once, and `out`
-                // outlives the scoped workers.
-                unsafe { (*p.0.add(i)).write(f(i)) };
-            }
-        });
-        out.into_iter()
-            .map(|m| {
-                // SAFETY: every index was written above.
-                unsafe { m.assume_init() }
-            })
-            .collect()
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::from_env()
-    }
 }
 
 /// What `QEC_THREADS` accepts: a positive integer, ignoring surrounding
@@ -263,87 +87,15 @@ fn warn_invalid_threads(raw: &str) {
     });
 }
 
-/// Raw-pointer wrapper so disjoint-index writers can share the output
-/// buffer across scoped threads.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn clamps_to_one_worker() {
         assert_eq!(Pool::new(0).threads(), 1);
-        assert!(Pool::new(0).is_sequential());
         assert_eq!(Pool::new(7).threads(), 7);
     }
-
-    #[test]
-    fn covers_every_index_exactly_once() {
-        for threads in [1, 2, 3, 8] {
-            for n in [0, 1, 2, 7, 64, 1000] {
-                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                Pool::new(threads).run_chunks(n, 3, |r| {
-                    for i in r {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-                assert!(
-                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                    "threads={threads} n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn map_returns_results_in_index_order() {
-        for threads in [1, 2, 4, 16] {
-            let got = Pool::new(threads).map(513, |i| i * i);
-            let want: Vec<usize> = (0..513).map(|i| i * i).collect();
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_handles_unsized_work() {
-        // wildly uneven task costs still produce ordered, complete output
-        let got = Pool::new(4).map(97, |i| {
-            if i % 13 == 0 {
-                (0..50_000u64).sum::<u64>().wrapping_add(i as u64)
-            } else {
-                i as u64
-            }
-        });
-        for (i, &v) in got.iter().enumerate() {
-            let want = if i % 13 == 0 {
-                (0..50_000u64).sum::<u64>().wrapping_add(i as u64)
-            } else {
-                i as u64
-            };
-            assert_eq!(v, want);
-        }
-    }
-
-    // Note: a panic on a spawned worker surfaces as the scope's own
-    // "a scoped thread panicked" payload, so no `expected` message here —
-    // the property under test is propagation, not the payload.
-    #[test]
-    #[should_panic]
-    fn worker_panics_propagate() {
-        Pool::new(4).run_chunks(64, 1, |r| {
-            if r.start == 33 {
-                panic!("boom");
-            }
-        });
-    }
-
-    /// Serializes the tests that mutate `QEC_THREADS` (cargo runs tests
-    /// on several threads in one process).
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parse_threads_accepts_positive_integers_only() {
@@ -363,7 +115,6 @@ mod tests {
     /// first garbage `from_env` call in the process.
     #[test]
     fn from_env_honors_padded_value_and_warns_once_on_garbage() {
-        let _guard = ENV_LOCK.lock().unwrap();
         let rec = qec_obs::Recorder::new(true);
         let old = qec_obs::install(rec.clone());
         let prior = std::env::var(THREADS_ENV).ok();
@@ -391,12 +142,5 @@ mod tests {
             Some(1),
             "exactly one warning per process, even across three bad values"
         );
-    }
-
-    #[test]
-    fn grain_never_zero() {
-        assert_eq!(Pool::new(8).grain_for(0), 1);
-        assert_eq!(Pool::new(8).grain_for(3), 1);
-        assert!(Pool::new(2).grain_for(1_000) >= 1);
     }
 }

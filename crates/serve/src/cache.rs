@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use qec_circuit::{CompileOptions, CompiledCircuit, InputLayout, WordTape};
 use qec_obs::Recorder;
@@ -106,7 +106,10 @@ impl Flight {
     }
 
     fn fulfill(&self, result: Result<Arc<CompiledPlan>, ServeError>) {
-        *self.slot.lock().unwrap() = Some(result);
+        // Poison-tolerant: this also runs from `AbandonOnUnwind::drop`,
+        // where a second panic would abort. A poisoned slot still holds
+        // a whole `Option`, so overwriting it is sound.
+        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
         self.cv.notify_all();
     }
 
@@ -125,6 +128,26 @@ enum Entry {
         last_use: u64,
     },
     Building(Arc<Flight>),
+}
+
+/// Abandons a flight whose builder unwinds. Without it a panicking
+/// `build` would leave its `Building` entry behind, and every later
+/// request for the key would wait forever on a flight nobody fulfills.
+/// Disarmed with `mem::forget` once `build` returns.
+struct AbandonOnUnwind<'a> {
+    cache: &'a PlanCache,
+    key: &'a PlanKey,
+    flight: &'a Arc<Flight>,
+}
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        self.cache.abandon(
+            self.key,
+            self.flight,
+            ServeError::Compile("plan compile panicked".into()),
+        );
+    }
 }
 
 /// The sharded single-flight LRU plan cache.
@@ -177,7 +200,10 @@ impl PlanCache {
     /// wait). `build` runs with no locks held.
     ///
     /// A failed build is broadcast to every waiter and the entry is
-    /// removed, so a subsequent request retries the compile.
+    /// removed, so a subsequent request retries the compile. A build
+    /// that panics is handled the same way — waiters get a
+    /// [`ServeError::Compile`] — and the panic then continues in the
+    /// caller.
     pub fn get_or_compile<F>(
         &self,
         key: &PlanKey,
@@ -219,7 +245,14 @@ impl PlanCache {
             Action::Build(flight) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 self.recorder.add("serve.cache.miss", 1);
-                match build() {
+                let guard = AbandonOnUnwind {
+                    cache: self,
+                    key,
+                    flight: &flight,
+                };
+                let built = build();
+                std::mem::forget(guard);
+                match built {
                     Ok(plan) => {
                         let plan = Arc::new(plan);
                         let bytes = plan.plan_bytes as u64;
@@ -241,21 +274,30 @@ impl PlanCache {
                         Ok((plan, false))
                     }
                     Err(e) => {
-                        {
-                            let mut map = self.shard(key).lock().unwrap();
-                            // Remove only our own Building entry; a
-                            // replacement inserted meanwhile stays.
-                            if matches!(map.get(key), Some(Entry::Building(f)) if Arc::ptr_eq(f, &flight))
-                            {
-                                map.remove(key);
-                            }
-                        }
-                        flight.fulfill(Err(e.clone()));
+                        self.abandon(key, &flight, e.clone());
                         Err(e)
                     }
                 }
             }
         }
+    }
+
+    /// Ends a failed flight: removes the builder's own `Building` entry
+    /// (a replacement inserted meanwhile stays) so the next request
+    /// retries, and hands `err` to every waiter. Poison-tolerant like
+    /// [`Flight::fulfill`], for the same reason: removing one key leaves
+    /// a poisoned map valid.
+    fn abandon(&self, key: &PlanKey, flight: &Arc<Flight>, err: ServeError) {
+        {
+            let mut map = self
+                .shard(key)
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            if matches!(map.get(key), Some(Entry::Building(f)) if Arc::ptr_eq(f, flight)) {
+                map.remove(key);
+            }
+        }
+        flight.fulfill(Err(err));
     }
 
     /// Evicts least-recently-used ready entries until the byte budget

@@ -8,7 +8,7 @@
 //! stage and the server's own tests cover real plans.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use qec_circuit::{Builder, CompileOptions, CompiledCircuit, InputLayout, Mode};
@@ -138,6 +138,54 @@ fn failed_compiles_broadcast_and_allow_retry() {
     let (plan, hit) = cache.get_or_compile(&k, || Ok(dummy_plan(&k, 50))).unwrap();
     assert!(!hit);
     assert_eq!(plan.plan_bytes, 50);
+    assert_eq!(cache.stats().entries, 1);
+}
+
+/// A compile that panics must not wedge its key: a concurrent waiter
+/// gets a typed error instead of hanging, the builder's own panic still
+/// reaches its caller, and the next request for the key compiles.
+#[test]
+fn panicking_compile_fails_waiters_and_allows_retry() {
+    let cache = Arc::new(PlanCache::new(0, None, Recorder::disabled()));
+    let k = key(0);
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let builder = {
+        let (cache, k) = (cache.clone(), k.clone());
+        std::thread::spawn(move || {
+            cache.get_or_compile(&k, || {
+                entered_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                panic!("injected compile panic");
+            })
+        })
+    };
+    // The builder now holds the key's flight open.
+    entered_rx.recv().unwrap();
+    let (result_tx, result_rx) = mpsc::channel();
+    let waiter = {
+        let (cache, k) = (cache.clone(), k.clone());
+        std::thread::spawn(move || {
+            let got = cache.get_or_compile(&k, || panic!("the waiter must not compile"));
+            result_tx
+                .send(got.map(|(plan, hit)| (plan.plan_bytes, hit)))
+                .unwrap();
+        })
+    };
+    while cache.stats().waits == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    go_tx.send(()).unwrap();
+    assert!(builder.join().is_err(), "the builder's panic propagates");
+    match result_rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(Err(ServeError::Compile(msg))) => assert!(msg.contains("panicked"), "{msg}"),
+        Ok(other) => panic!("expected a compile error, got {other:?}"),
+        Err(_) => panic!("the waiter hung on the panicked flight"),
+    }
+    waiter.join().unwrap();
+    let (plan, hit) = cache.get_or_compile(&k, || Ok(dummy_plan(&k, 10))).unwrap();
+    assert!(!hit, "the retry compiles afresh");
+    assert_eq!(plan.plan_bytes, 10);
     assert_eq!(cache.stats().entries, 1);
 }
 
