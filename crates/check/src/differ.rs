@@ -6,8 +6,10 @@
 //! 1. RAM references: `evaluate_pairwise` (ground truth), `generic_join`,
 //!    the flat `yannakakis` baseline (acyclic queries), and
 //!    `OutputSensitive::evaluate_ram` must all agree.
-//! 2. The naive relational circuit's RAM interpreter must match.
-//! 3. The lowered word circuit is structurally validated, checked for a
+//! 2. The relational circuit [`choose_plan`] picks — the one `qec-serve`
+//!    compiles — must match under its RAM interpreter, and so must the
+//!    candidate it rejected (full CQs: PANDA-C or naive).
+//! 3. The chosen circuit is lowered, structurally validated, checked for a
 //!    flat-tape serialize/decode round-trip (netlist equality), then
 //!    compiled and evaluated under every [`EngineOptions`] point in the
 //!    sweep matrix; each decoded output must equal the RAM ground truth.
@@ -29,7 +31,7 @@ use qec_circuit::{
     read_netlist, validate, validate_bits, write_netlist, BitEvalScratch, BitKernel, BitTape,
     Circuit, CompileOptions, CompiledCircuit, Mode, StreamOptions, WordTape,
 };
-use qec_core::{naive_circuit, OutputSensitive};
+use qec_core::{choose_plan, OutputSensitive, PlanKind, RelationalCircuit};
 use qec_query::baseline::{evaluate_pairwise, generic_join, yannakakis};
 use qec_relation::Relation;
 use std::fmt;
@@ -296,19 +298,14 @@ pub fn run_case(
         }
     }
 
-    // Stage 2: the naive relational circuit, RAM-interpreted.
-    let (rc, _) = naive_circuit(&cq, &dc).map_err(harness)?;
-    let ram = rc.evaluate_ram(&db).map_err(|e| Divergence::Baseline {
-        family: "naive-ram",
-        detail: format!("evaluation error: {e}"),
-    })?;
-    if ram.len() != 1 || ram[0] != expect {
-        let got = ram.first().map(digest).unwrap_or_else(|| "<none>".into());
-        return Err(Divergence::Baseline {
-            family: "naive-ram",
-            detail: format!("got {got}, want {}", digest(&expect)),
-        });
+    // Stage 2: the served relational circuit and the candidate it beat,
+    // RAM-interpreted.
+    let chosen = choose_plan(&cq, &dc).map_err(harness)?;
+    check_ram(chosen.kind, &chosen.rc, &db, &expect)?;
+    if let Some((kind, rc)) = &chosen.rejected {
+        check_ram(*kind, rc, &db, &expect)?;
     }
+    let rc = chosen.rc;
 
     // Stage 3: lower to the word IR and validate it.
     let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
@@ -602,6 +599,31 @@ pub fn run_case(
     Ok(outcome)
 }
 
+/// RAM-interprets one candidate plan against the ground truth.
+fn check_ram(
+    kind: PlanKind,
+    rc: &RelationalCircuit,
+    db: &qec_relation::Database,
+    expect: &Relation,
+) -> Result<(), Divergence> {
+    let family = match kind {
+        PlanKind::Naive => "naive-ram",
+        PlanKind::PandaC => "panda-c-ram",
+    };
+    let ram = rc.evaluate_ram(db).map_err(|e| Divergence::Baseline {
+        family,
+        detail: format!("evaluation error: {e}"),
+    })?;
+    if ram.len() != 1 || ram[0] != *expect {
+        let got = ram.first().map(digest).unwrap_or_else(|| "<none>".into());
+        return Err(Divergence::Baseline {
+            family,
+            detail: format!("got {got}, want {}", digest(expect)),
+        });
+    }
+    Ok(())
+}
+
 /// Replays `case` through a coalescing [`qec_serve::Server`] and
 /// compares every response against `expect`.
 fn check_serve_stage(case: &Case, expect: &Relation) -> Result<(), Divergence> {
@@ -741,7 +763,7 @@ mod tests {
     fn mutation_produces_a_structurally_valid_different_circuit() {
         let case = crate::gen::gen_case(5);
         let (cq, _db, dc) = case.materialize().unwrap();
-        let (rc, _) = naive_circuit(&cq, &dc).unwrap();
+        let (rc, _) = qec_core::naive_circuit(&cq, &dc).unwrap();
         let lowered = rc.lower_with(Mode::Build, &CompileOptions::sequential());
         let mutated = mutate_circuit(&lowered.circuit, &Mutation { index: 0 }).unwrap();
         assert!(validate(&mutated).is_ok());

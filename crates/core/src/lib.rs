@@ -23,10 +23,15 @@
 //! construction of Sec. 6: one circuit computing `OUT = |Q(D)|`
 //! (Alg. 11), and, parameterized by `OUT`, a Yannakakis-C circuit
 //! (Algs. 8–9) of size `Õ(N + 2^{da-fhtw} + OUT)` (Thm 5).
+//!
+//! [`choose_plan`] is the serve-time entry point: for a full CQ it
+//! builds both PANDA-C and the naive baseline and keeps whichever
+//! lowers to fewer word gates.
 
 mod cost;
 mod naive;
 mod panda;
+mod plan;
 mod rc;
 mod semiring;
 mod yannakakis;
@@ -34,6 +39,7 @@ mod yannakakis;
 pub use cost::paper_cost;
 pub use naive::{naive_circuit, triangle_heavy_light};
 pub use panda::{compile_fcq, CompileError, PandaCircuit};
+pub use plan::{choose_plan, ChosenPlan, PlanKind};
 pub use rc::{LoweredCircuit, MapBinOp, NodeId, RcError, RcNode, RcOp, RcPred, RelationalCircuit};
 pub use semiring::{AggregateQuery, Semiring};
 pub use yannakakis::{da_fhtw, OutputSensitive, YannakakisError};

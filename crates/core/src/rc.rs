@@ -634,8 +634,10 @@ impl RelationalCircuit {
     /// Measurement baseline: the same lowering with the builder's online
     /// hash-consing disabled, so every gate is emitted verbatim. X24 uses
     /// this to quantify how much cross-iteration redundancy the online
-    /// CSE collapses in unrolled fixpoint circuits — do not evaluate
-    /// production circuits through it.
+    /// CSE collapses in unrolled fixpoint circuits, and
+    /// [`choose_plan`](crate::choose_plan) ranks candidate plans by its
+    /// cheap `Mode::Count` size — do not evaluate production circuits
+    /// through it.
     pub fn lower_without_cse(&self, mode: Mode) -> LoweredCircuit {
         self.lower_into(Builder::without_cse(mode))
     }

@@ -26,8 +26,8 @@
 //! **Persistence.** With a persist directory configured, every
 //! compiled plan is written through as `<fnv64>.wtape` (the existing
 //! `WordTape` container) plus a `<fnv64>.plan` meta file carrying the
-//! key, layout, and output metadata. [`PlanCache::warm_start`] reloads
-//! them, paying tape-decode + register allocation but skipping
+//! key, plan kind, layout, and output metadata. [`PlanCache::warm_start`]
+//! reloads them, paying tape-decode + register allocation but skipping
 //! parse/plan/lower — the compile-once, load-many path.
 
 use std::collections::HashMap;
@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use qec_circuit::{CompileOptions, CompiledCircuit, InputLayout, WordTape};
+use qec_core::PlanKind;
 use qec_obs::Recorder;
 use qec_relation::Var;
 
@@ -51,6 +52,9 @@ pub const SHARDS: usize = 16;
 pub struct CompiledPlan {
     /// The key this plan was compiled under.
     pub key: PlanKey,
+    /// Which construction a CQ plan came from; `None` for Datalog
+    /// fixpoint plans.
+    pub kind: Option<PlanKind>,
     /// The evaluation engine.
     pub engine: CompiledCircuit,
     /// Input layout (relation slots in circuit-input order).
@@ -68,6 +72,7 @@ impl std::fmt::Debug for CompiledPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledPlan")
             .field("key", &self.key)
+            .field("kind", &self.kind)
             .field("plan_bytes", &self.plan_bytes)
             .field("compile_ns", &self.compile_ns)
             .finish_non_exhaustive()
@@ -385,6 +390,9 @@ impl PlanCache {
         meta.push_str(&format!("dcsig {}\n", plan.key.dc_sig));
         meta.push_str(&format!("nbucket {}\n", plan.key.n_bucket));
         meta.push_str(&format!("depth {}\n", plan.key.fixpoint_depth));
+        if let Some(kind) = plan.kind {
+            meta.push_str(&format!("plan {kind}\n"));
+        }
         for (name, schema, cap) in plan.layout.entries() {
             let vars: Vec<String> = schema.iter().map(|v| v.index().to_string()).collect();
             meta.push_str(&format!("layout {name} {cap} {}\n", vars.join(",")));
@@ -407,7 +415,9 @@ impl PlanCache {
     /// Loads every persisted plan from the persist directory, compiling
     /// tapes under `opts`. Returns the number of plans loaded. Corrupt
     /// or unreadable entries are skipped (a warm start must never be
-    /// worse than a cold one).
+    /// worse than a cold one), and so are CQ metas without a `plan`
+    /// line: they predate plan choice and always hold the naive
+    /// circuit, so their keys recompile to the chosen plan.
     pub fn warm_start(&self, opts: &CompileOptions) -> usize {
         let Some(dir) = self.persist_dir.clone() else {
             return 0;
@@ -427,6 +437,9 @@ impl PlanCache {
             let Some(plan) = parse_meta(&meta) else {
                 continue;
             };
+            if plan.key.fixpoint_depth == 0 && plan.kind.is_none() {
+                continue;
+            }
             let tape_path = path.with_extension("wtape");
             let Ok(tape) = WordTape::load(&tape_path) else {
                 continue;
@@ -438,6 +451,7 @@ impl PlanCache {
             let key = plan.key.clone();
             let compiled = Arc::new(CompiledPlan {
                 key: key.clone(),
+                kind: plan.kind,
                 engine,
                 layout: plan.layout,
                 outputs: plan.outputs,
@@ -467,6 +481,7 @@ impl PlanCache {
 /// Parsed meta file: the key plus layout/output metadata (no engine).
 struct PlanMeta {
     key: PlanKey,
+    kind: Option<PlanKind>,
     layout: InputLayout,
     outputs: Vec<(Vec<Var>, usize, usize)>,
 }
@@ -481,6 +496,7 @@ fn parse_meta(meta: &str) -> Option<PlanMeta> {
     let mut n_bucket = None;
     // Absent in metas written before Datalog plans existed: a plain CQ.
     let mut fixpoint_depth = 0;
+    let mut kind = None;
     let mut layout = Vec::new();
     let mut outputs = Vec::new();
     for line in lines {
@@ -490,6 +506,7 @@ fn parse_meta(meta: &str) -> Option<PlanMeta> {
             "dcsig" => dc_sig = Some(rest.to_string()),
             "nbucket" => n_bucket = Some(rest.parse::<u64>().ok()?),
             "depth" => fixpoint_depth = rest.parse::<u64>().ok()?,
+            "plan" => kind = Some(PlanKind::parse(rest)?),
             "layout" => {
                 let mut parts = rest.splitn(3, ' ');
                 let name = parts.next()?.to_string();
@@ -514,6 +531,7 @@ fn parse_meta(meta: &str) -> Option<PlanMeta> {
             n_bucket: n_bucket?,
             fixpoint_depth,
         },
+        kind,
         layout: InputLayout::from_entries(layout),
         outputs,
     })

@@ -71,6 +71,9 @@ pub enum ServeError {
     Eval(String),
     /// Plan persistence (save/load) failed.
     Persist(String),
+    /// The worker panicked while processing the request's batch. The
+    /// worker survives and keeps serving; the request is not retried.
+    Internal(String),
     /// The server is shutting down and dropped the request.
     ShuttingDown,
     /// The caller's deadline passed before the response arrived
@@ -102,6 +105,7 @@ impl fmt::Display for ServeError {
             ServeError::Layout(msg) => write!(f, "request does not fit plan layout: {msg}"),
             ServeError::Eval(msg) => write!(f, "evaluation failed: {msg}"),
             ServeError::Persist(msg) => write!(f, "plan persistence failed: {msg}"),
+            ServeError::Internal(msg) => write!(f, "internal serving error: {msg}"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::Deadline { waited } => {
                 write!(f, "deadline passed after waiting {waited:?}")

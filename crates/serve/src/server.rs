@@ -19,20 +19,26 @@
 //! 3. **Evaluation**: one [`PlanCache::get_or_compile`] (single-flight
 //!    compile on cold keys), one `evaluate_batch` over the batch's
 //!    instances, per-job decode back to the request's variable space.
+//!    A CQ compiles the circuit [`choose_plan`] picks: PANDA-C or the
+//!    naive join, whichever lowers to fewer word gates.
+//!
+//! A panic while processing a batch is caught in the worker: every job
+//! still in the batch fails with [`ServeError::Internal`], its tenant
+//! slot is released, and the worker goes on serving.
 //!
 //! Worker count defaults to the `qec-par` pool width (`QEC_THREADS`).
-//! Workers are plain `std::thread`s rather than pool regions because
-//! they live as long as the server, not as long as a call — the
-//! region-scoped pool is still what sizes them and what the compile
-//! pipeline parallelizes on.
+//! Workers are plain `std::thread`s that live as long as the server;
+//! the pool only sizes them. Plan compilation runs sequentially on the
+//! worker that missed the cache.
 
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use qec_circuit::{decode_relation, CompileOptions, CompiledCircuit, Mode, WordTape};
-use qec_core::naive_circuit;
+use qec_core::{choose_plan, PlanKind};
 use qec_datalog::{DatalogProgram, FixpointBounds};
 use qec_obs::Recorder;
 use qec_query::{canonicalize, parse_cq, CanonicalCq};
@@ -67,7 +73,7 @@ pub struct ServerConfig {
     /// Coalesce same-plan requests into batches; `false` evaluates
     /// every request alone (the batch-size-1 A/B baseline).
     pub coalesce: bool,
-    /// Options for plan compilation (pool, optimizer, validator).
+    /// Options for plan compilation (optimizer, validator, recorder).
     pub compile: CompileOptions,
     /// Observability sink for serve-layer counters/gauges/spans.
     pub recorder: Recorder,
@@ -115,6 +121,8 @@ pub struct Response {
     /// `true` when the plan came from the cache (no compile ran for
     /// this request, including single-flight waits).
     pub cache_hit: bool,
+    /// Construction of the CQ plan that answered; `None` for Datalog.
+    pub plan: Option<PlanKind>,
     /// Number of requests evaluated in the same engine batch.
     pub batch_size: usize,
     /// Nanoseconds spent queued before a worker picked the job up.
@@ -475,11 +483,26 @@ fn worker_loop(shared: &Shared) {
         drop(queue);
         // Another worker may be waiting on jobs we did not take.
         shared.cv.notify_one();
-        process_batch(shared, batch);
+        if catch_unwind(AssertUnwindSafe(|| process_batch(shared, &mut batch))).is_err() {
+            cfg.recorder.add("serve.batch.panics", 1);
+            for job in batch.drain(..) {
+                let err = ServeError::Internal("batch processing panicked".into());
+                respond(shared, job, Err(err));
+            }
+        }
     }
 }
 
-fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
+/// Panic injection for the worker's unwind guard (tests only): the next
+/// batch that holds a job of the armed tenant panics just before
+/// evaluation.
+#[cfg(test)]
+static PANIC_TENANT: Mutex<Option<String>> = Mutex::new(None);
+
+/// Compiles (or fetches) the batch's plan, evaluates it, and answers
+/// every job. A job leaves `batch` only as it is answered, so a panic
+/// leaves the unanswered jobs behind for [`worker_loop`] to fail.
+fn process_batch(shared: &Shared, batch: &mut Vec<Job>) {
     let cfg = &shared.cfg;
     let t0 = Instant::now();
     let key = batch[0].key.clone();
@@ -492,17 +515,18 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
     let built = shared.cache.get_or_compile(&key, || {
         let _span = cfg.recorder.span("serve.compile");
         let t = Instant::now();
-        let lowered = match &spec {
+        let (kind, lowered) = match &spec {
             JobPlan::Cq { canon, dcs } => {
-                let (rc, _root) = naive_circuit(&canon.cq, dcs)
-                    .map_err(|e| ServeError::Compile(e.to_string()))?;
-                rc.lower_with(Mode::Build, &cfg.compile)
+                let chosen =
+                    choose_plan(&canon.cq, dcs).map_err(|e| ServeError::Compile(e.to_string()))?;
+                let lowered = chosen.rc.lower_with(Mode::Build, &cfg.compile);
+                (Some(chosen.kind), lowered)
             }
             JobPlan::Datalog { program, depth } => {
                 let bounds = FixpointBounds::for_domain(*depth, *depth);
                 let fx = qec_datalog::compile(program, &bounds)
                     .map_err(|e| ServeError::Compile(e.to_string()))?;
-                fx.rc.lower_with(Mode::Build, &cfg.compile)
+                (None, fx.rc.lower_with(Mode::Build, &cfg.compile))
             }
         };
         let tape =
@@ -511,6 +535,7 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
             .map_err(|e| ServeError::Compile(format!("{e:?}")))?;
         let plan = CompiledPlan {
             key: key.clone(),
+            kind,
             engine,
             layout: lowered.layout,
             outputs: lowered.outputs,
@@ -523,7 +548,7 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
     let (plan, cache_hit) = match built {
         Ok(x) => x,
         Err(e) => {
-            for job in batch {
+            for job in batch.drain(..) {
                 respond(shared, job, Err(e.clone()));
             }
             return;
@@ -533,61 +558,88 @@ fn process_batch(shared: &Shared, mut batch: Vec<Job>) {
     // Bind each job's database to the plan layout; jobs that do not
     // fit fail individually without sinking the batch.
     let mut inputs: Vec<Vec<u64>> = Vec::with_capacity(batch.len());
-    let mut live: Vec<Job> = Vec::with_capacity(batch.len());
-    for job in batch.drain(..) {
-        match plan.layout.values(&job.db) {
+    let mut i = 0;
+    while i < batch.len() {
+        match plan.layout.values(&batch[i].db) {
             Ok(vals) => {
                 inputs.push(vals);
-                live.push(job);
+                i += 1;
             }
-            Err(e) => respond(shared, job, Err(ServeError::Layout(format!("{e:?}")))),
+            Err(e) => {
+                let job = batch.remove(i);
+                respond(shared, job, Err(ServeError::Layout(format!("{e:?}"))));
+            }
         }
     }
-    if live.is_empty() {
+    if batch.is_empty() {
         return;
+    }
+
+    #[cfg(test)]
+    {
+        let mut armed = PANIC_TENANT
+            .lock()
+            .expect("injection lock is never held across a panic");
+        if batch
+            .iter()
+            .any(|j| armed.as_deref() == Some(j.tenant.as_str()))
+        {
+            *armed = None;
+            drop(armed);
+            panic!("injected batch panic");
+        }
     }
 
     let results = {
         let _span = cfg.recorder.span("serve.evaluate");
         plan.engine.evaluate_batch(&inputs)
     };
-    let batch_size = live.len();
-    for (job, result) in live.into_iter().zip(results) {
-        let response = result
-            .map_err(|e| ServeError::Eval(format!("{e:?}")))
-            .map(|raw| {
-                let relations = plan
-                    .outputs
-                    .iter()
-                    .map(|(schema, start, len)| {
-                        let canon_rel = decode_relation(schema, &raw[*start..*start + *len]);
-                        match &job.plan {
-                            // Translate back into the request's
-                            // variable space; `from_rows` re-sorts the
-                            // schema.
-                            JobPlan::Cq { canon, .. } => {
-                                let orig_schema: Vec<Var> = canon_rel
-                                    .schema()
-                                    .iter()
-                                    .map(|v| canon.from_canon[v.index()])
-                                    .collect();
-                                Relation::from_rows(orig_schema, canon_rel.rows().to_vec())
+    let batch_size = batch.len();
+    // Decode every answer before sending any, so a panic in decoding
+    // leaves the whole batch to the worker's unwind guard.
+    let responses: Vec<_> = batch
+        .iter()
+        .zip(results)
+        .map(|(job, result)| {
+            result
+                .map_err(|e| ServeError::Eval(format!("{e:?}")))
+                .map(|raw| {
+                    let relations = plan
+                        .outputs
+                        .iter()
+                        .map(|(schema, start, len)| {
+                            let canon_rel = decode_relation(schema, &raw[*start..*start + *len]);
+                            match &job.plan {
+                                // Translate back into the request's
+                                // variable space; `from_rows` re-sorts the
+                                // schema.
+                                JobPlan::Cq { canon, .. } => {
+                                    let orig_schema: Vec<Var> = canon_rel
+                                        .schema()
+                                        .iter()
+                                        .map(|v| canon.from_canon[v.index()])
+                                        .collect();
+                                    Relation::from_rows(orig_schema, canon_rel.rows().to_vec())
+                                }
+                                // Datalog outputs are already in their
+                                // only space: keys `Var(0..arity)` (plus
+                                // the annotation column).
+                                JobPlan::Datalog { .. } => canon_rel,
                             }
-                            // Datalog outputs are already in their
-                            // only space: keys `Var(0..arity)` (plus
-                            // the annotation column).
-                            JobPlan::Datalog { .. } => canon_rel,
-                        }
-                    })
-                    .collect();
-                Response {
-                    relations,
-                    cache_hit,
-                    batch_size,
-                    queue_ns: (t0 - job.enqueued).as_nanos() as u64,
-                    total_ns: t0.elapsed().as_nanos() as u64,
-                }
-            });
+                        })
+                        .collect();
+                    Response {
+                        relations,
+                        cache_hit,
+                        plan: plan.kind,
+                        batch_size,
+                        queue_ns: (t0 - job.enqueued).as_nanos() as u64,
+                        total_ns: t0.elapsed().as_nanos() as u64,
+                    }
+                })
+        })
+        .collect();
+    for (job, response) in batch.drain(..).zip(responses) {
         respond(shared, job, response);
     }
 }
@@ -762,30 +814,138 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let req = triangle_request("t0", 4, 3);
         let expect = baseline_eval(&req);
-        {
-            let mut server = Server::start(ServerConfig {
-                workers: 1,
-                persist_dir: Some(dir.clone()),
-                ..ServerConfig::default()
-            });
-            assert_eq!(server.query(req.clone()).unwrap().relations[0], expect);
-            assert_eq!(server.cache_stats().misses, 1);
-            server.shutdown();
-        }
-        {
-            let mut server = Server::start(ServerConfig {
+        let warm = || {
+            Server::start(ServerConfig {
                 workers: 1,
                 persist_dir: Some(dir.clone()),
                 warm_start: true,
                 ..ServerConfig::default()
+            })
+        };
+        {
+            let mut server = Server::start(ServerConfig {
+                workers: 1,
+                persist_dir: Some(dir.clone()),
+                ..ServerConfig::default()
             });
-            let resp = server.query(req).unwrap();
+            let resp = server.query(req.clone()).unwrap();
+            assert_eq!(resp.relations[0], expect);
+            assert_eq!(resp.plan, Some(PlanKind::PandaC));
+            assert_eq!(server.cache_stats().misses, 1);
+            server.shutdown();
+        }
+        let meta_path = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|e| e == "plan"))
+            .expect("plan meta persisted");
+        let meta = std::fs::read_to_string(&meta_path).unwrap();
+        assert!(meta.lines().any(|l| l == "plan panda-c"), "{meta}");
+        {
+            let mut server = warm();
+            let resp = server.query(req.clone()).unwrap();
             assert_eq!(resp.relations[0], expect);
             assert!(resp.cache_hit, "persisted plan served without compile");
+            assert_eq!(resp.plan, Some(PlanKind::PandaC), "kind survives reload");
             assert_eq!(server.cache_stats().misses, 0);
             server.shutdown();
         }
+        // A meta written before plan choice has no `plan` line and holds
+        // a naive plan: warm start skips it and the key recompiles.
+        let old: String = meta
+            .lines()
+            .filter(|l| !l.starts_with("plan "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(&meta_path, old).unwrap();
+        {
+            let mut server = warm();
+            assert_eq!(server.cache_stats().entries, 0, "old meta skipped");
+            let resp = server.query(req).unwrap();
+            assert_eq!(resp.relations[0], expect);
+            assert!(!resp.cache_hit);
+            assert_eq!(resp.plan, Some(PlanKind::PandaC));
+            assert_eq!(server.cache_stats().misses, 1);
+            server.shutdown();
+        }
+        let meta = std::fs::read_to_string(&meta_path).unwrap();
+        assert!(
+            meta.lines().any(|l| l == "plan panda-c"),
+            "rewritten: {meta}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn full_queries_are_served_by_the_chosen_plan() {
+        let mut server = Server::start(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        });
+        // The triangle request's R/S/T rows, kept for the atoms `query`
+        // names.
+        let with_query = |query: &str, n: u64, seed: u64| {
+            let mut req = triangle_request("t0", n, seed);
+            req.rels
+                .retain(|(name, _)| query.contains(&format!("{name}(")));
+            req.query = query.into();
+            req
+        };
+        let cases = [
+            (triangle_request("t0", 8, 5), PlanKind::PandaC),
+            (
+                with_query("Q(a, b, c, d) :- R(a, b), S(a, c), T(a, d)", 4, 2),
+                PlanKind::Naive,
+            ),
+            (
+                with_query("Q(a, c) :- R(a, b), S(b, c)", 4, 3),
+                PlanKind::Naive,
+            ),
+        ];
+        for (req, kind) in cases {
+            let expect = baseline_eval(&req);
+            let resp = server.query(req.clone()).unwrap();
+            assert_eq!(resp.plan, Some(kind), "{}", req.query);
+            assert_eq!(resp.relations[0], expect, "{}", req.query);
+        }
+        server.shutdown();
+    }
+
+    /// A batch that panics mid-flight must not take its worker down: every
+    /// job in the batch gets a typed error (never `ShuttingDown`), the jobs'
+    /// tenant slots come back, and the same lone worker keeps serving.
+    #[test]
+    fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
+        let mut server = Server::start(ServerConfig {
+            workers: 1,
+            tenant_quota: 1,
+            // Long enough that the three submits below share one batch.
+            flush: Duration::from_millis(300),
+            max_batch: 8,
+            ..ServerConfig::default()
+        });
+        let tenants = ["boom", "boom-t1", "boom-t2"];
+        *PANIC_TENANT.lock().unwrap() = Some("boom".into());
+        let tickets: Vec<_> = tenants
+            .iter()
+            .map(|t| server.submit(triangle_request(t, 4, 1)).unwrap())
+            .collect();
+        for (t, ticket) in tenants.iter().zip(tickets) {
+            match ticket.wait_timeout(Duration::from_secs(60)) {
+                Err(ServeError::Internal(msg)) => assert!(msg.contains("panicked"), "{t}: {msg}"),
+                other => panic!("{t}: expected a typed internal error, got {other:?}"),
+            }
+        }
+        // With a quota of 1, a leaked slot would make these QuotaExceeded;
+        // a dead worker would make them time out.
+        let want = baseline_eval(&triangle_request("any", 4, 1));
+        for t in tenants {
+            let resp = server
+                .query_timeout(triangle_request(t, 4, 1), Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("{t} after the panic: {e}"));
+            assert_eq!(resp.relations[0], want, "{t}");
+        }
+        server.shutdown();
     }
 
     #[test]

@@ -33,6 +33,7 @@ fn dummy_plan(k: &PlanKey, bytes: usize) -> CompiledPlan {
     let (engine, _) = CompiledCircuit::compile_with(&c, &CompileOptions::sequential()).unwrap();
     CompiledPlan {
         key: k.clone(),
+        kind: None,
         engine,
         layout: InputLayout::new(),
         outputs: Vec::new(),
