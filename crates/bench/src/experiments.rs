@@ -655,13 +655,13 @@ pub fn x12_primitive_scaling() -> Table {
 }
 
 /// X13 — Brent's theorem: levelized PRAM schedules of the PANDA-C
-/// triangle circuit achieve `O(W/P + D)` steps, and the level-parallel
-/// evaluator realizes the speedup in wall-clock on real threads.
+/// triangle circuit achieve `O(W/P + D)` steps (static accounting); the
+/// compiled engine runs the same circuit on one thread for reference.
 pub fn x13_brent() -> Table {
     use qec_circuit::CompiledCircuit;
     let mut t = Table::new(
-        "X13  Brent: PRAM steps (and wall-clock) of the PANDA-C triangle circuit",
-        &["P", "steps", "W/P + D", "ok", "wall_ms"],
+        "X13  Brent: PRAM steps of the PANDA-C triangle circuit",
+        &["P", "steps", "W/P + D", "ok"],
     );
     let q = triangle();
     let dc = uniform_dc(&q, 32);
@@ -669,43 +669,31 @@ pub fn x13_brent() -> Table {
     let lowered = p.rc.lower(Mode::Build);
     let c = &lowered.circuit;
     let (w, d) = (c.size(), u64::from(c.depth()));
-    let db = uniform_db(&q, 28, 3);
-    let inputs = lowered.layout.values(&db).expect("conforms");
-    // Compile once; the engine's level-parallel path realizes the PRAM
-    // schedule that `brent_steps` counts.
-    let engine = CompiledCircuit::compile_with(c, &CompileOptions::from_env())
-        .expect("build-mode circuit")
-        .0;
-    let reference = c.evaluate(&inputs).expect("sequential");
     let mut all_ok = true;
     for procs in [1u64, 2, 4, 8, 64, 1024, 1 << 20] {
         let steps = brent_steps(c, procs);
         let bound = w / procs + d;
-        let mut ok = steps <= bound;
-        let wall = if procs <= 8 {
-            let (mut out, metrics) =
-                engine.evaluate_batch_metered(std::slice::from_ref(&&inputs[..]), procs as usize);
-            ok &= out.pop().expect("one lane") == Ok(reference.clone());
-            format!("{:.0}", metrics.eval_ns as f64 / 1e6)
-        } else {
-            "-".into()
-        };
+        let ok = steps <= bound;
         all_ok &= ok;
         t.row(vec![
             procs.to_string(),
             steps.to_string(),
             bound.to_string(),
             ok.to_string(),
-            wall,
         ]);
     }
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
+    let db = uniform_db(&q, 28, 3);
+    let inputs = lowered.layout.values(&db).expect("conforms");
+    let engine = CompiledCircuit::compile_with(c, &CompileOptions::from_env())
+        .expect("build-mode circuit")
+        .0;
+    let (mut out, metrics) = engine.evaluate_batch_metered(std::slice::from_ref(&&inputs[..]));
+    let engine_ok = out.pop().expect("one lane") == c.evaluate(&inputs);
     let regs = engine.stats().peak_registers;
-    t.verdict(if all_ok {
+    t.verdict(if all_ok && engine_ok {
         format!(
-            "W = {w}, D = {d}: every schedule meets Brent's W/P + D bound, and the compiled engine reproduces the interpreter at every P with a {regs}-register working set (vs {} wires; this host has {cores} core(s), so wall-clock gains appear only beyond that)",
+            "W = {w}, D = {d}: every schedule meets Brent's W/P + D bound; the compiled engine reproduces the interpreter on one thread in {:.0} ms with a {regs}-register working set (vs {} wires)",
+            metrics.eval_ns as f64 / 1e6,
             c.num_wires()
         )
     } else {
@@ -722,14 +710,7 @@ pub fn x15_engine_throughput() -> Table {
     use qec_circuit::CompiledCircuit;
     let mut t = Table::new(
         "X15  Engine: batched, register-allocated evaluation of a degree-bounded join",
-        &[
-            "evaluator",
-            "batch",
-            "threads",
-            "us_per_inst",
-            "Mgev_per_s",
-            "speedup",
-        ],
+        &["evaluator", "batch", "us_per_inst", "Mgev_per_s", "speedup"],
     );
     const CAP: usize = 16;
     const BATCH: usize = 64;
@@ -771,33 +752,23 @@ pub fn x15_engine_throughput() -> Table {
     let eng = &engine;
     let insts = &instances;
     let reference: Vec<_> = insts.iter().map(|i| c.evaluate(i)).collect();
-    let mut evals: Vec<(&str, usize, usize, Pass<'_>)> = vec![(
-        "interpreter",
-        1,
-        1,
-        Box::new(|| insts.iter().map(|i| c.evaluate(i)).collect()),
-    )];
-    for (chunk, threads) in [(1usize, 1usize), (BATCH, 1), (BATCH, 4)] {
-        evals.push((
-            "engine",
-            chunk,
-            threads,
-            Box::new(move || {
-                insts
-                    .chunks(chunk)
-                    .flat_map(|g| eng.evaluate_batch_threaded(g, threads))
-                    .collect()
-            }),
-        ));
+    let mut evals: Vec<Pass<'_>> = vec![Box::new(|| insts.iter().map(|i| c.evaluate(i)).collect())];
+    for chunk in [1usize, BATCH] {
+        evals.push(Box::new(move || {
+            insts
+                .chunks(chunk)
+                .flat_map(|g| eng.evaluate_batch(g))
+                .collect()
+        }));
     }
     let mut correct = true;
-    for (_, _, _, pass) in evals.iter_mut() {
+    for pass in evals.iter_mut() {
         correct &= pass() == reference;
     }
     const ROUNDS: usize = 5;
     let mut times = vec![Vec::with_capacity(ROUNDS); evals.len()];
     for _ in 0..ROUNDS {
-        for (i, (_, _, _, pass)) in evals.iter_mut().enumerate() {
+        for (i, pass) in evals.iter_mut().enumerate() {
             let t0 = std::time::Instant::now();
             let _ = pass();
             times[i].push(t0.elapsed().as_nanos() as f64);
@@ -812,30 +783,21 @@ pub fn x15_engine_throughput() -> Table {
     t.row(vec![
         "interpreter".into(),
         "1".into(),
-        "1".into(),
         f(interp_ns / 1e3 / BATCH as f64),
         f(gev(interp_ns)),
         f(1.0),
     ]);
 
     let mut batch64_speedup = 0.0;
-    for (i, (label, chunk, threads)) in [
-        ("engine", 1usize, 1usize),
-        ("engine", BATCH, 1),
-        ("engine", BATCH, 4),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (i, chunk) in [1usize, BATCH].into_iter().enumerate() {
         let ns = median(&mut times[i + 1]);
         let speedup = interp_ns / ns;
-        if chunk == BATCH && threads == 1 {
+        if chunk == BATCH {
             batch64_speedup = speedup;
         }
         t.row(vec![
-            label.into(),
+            "engine".into(),
             chunk.to_string(),
-            threads.to_string(),
             f(ns / 1e3 / BATCH as f64),
             f(gev(ns)),
             f(speedup),

@@ -8,7 +8,8 @@
 //! scalar `&`/`^`/`!` evaluates the gate for 64 instances at once — 256
 //! or 512 with the AVX2/AVX-512 kernels.
 //!
-//! The compile step mirrors [`engine.rs`](crate::engine) exactly:
+//! The compile step is level-major, unlike the word engine's program
+//! order, because GMW exchanges one message per AND level:
 //!
 //! 1. **Liveness.** The last level reading each wire is computed in one
 //!    pass; output wires are pinned.

@@ -6,80 +6,128 @@
 //! compiled once and then streamed over arbitrarily many inputs. This
 //! module adds that missing layer:
 //!
-//! 1. **Compilation** ([`CompiledCircuit::compile`]): the gate DAG is
-//!    reordered into a level-major instruction tape (all gates of equal
-//!    depth are adjacent) and run through a **wire-liveness register
-//!    allocator**. A wire's register is recycled once the last level
-//!    reading it has executed, so the working set shrinks from
-//!    `O(size)` slots to `O(peak live width)` registers — the hot data
-//!    fits in cache instead of streaming the whole value buffer per
-//!    instance.
+//! 1. **Compilation** ([`CompiledCircuit::compile_with`]): the gates are
+//!    emitted in program order — the circuit's construction order,
+//!    which is topological because every operand id is below its gate
+//!    id — one flat instruction per gate, through a **per-instruction
+//!    register liveness allocator**. A wire's register is recycled right
+//!    after the instruction that reads it last, so the working set
+//!    shrinks from `O(size)` slots to the peak number of live wires and
+//!    the hot data stays in cache.
 //! 2. **Batched evaluation** ([`CompiledCircuit::evaluate_batch`]):
 //!    registers hold `B` lanes (structure-of-arrays), so each
 //!    instruction dispatch is amortized over `B` input vectors and the
 //!    per-lane inner loops are straight-line word ops the compiler
-//!    autovectorizes.
-//! 3. **Level-parallel evaluation**
-//!    ([`CompiledCircuit::evaluate_batch_threaded`]): Brent's-theorem
-//!    scheduling across OS threads (each level's instructions are split
-//!    over workers, one barrier per level) *combined* with batching
-//!    within each worker. [`crate::evaluate_levelized`] is rebased on
-//!    this path.
-//! 4. **Observability** ([`EngineStats`], [`EvalMetrics`]): per-kind
+//!    autovectorizes. Every batch runs on the calling thread; there is
+//!    one evaluation loop.
+//! 3. **Observability** ([`EngineStats`], [`EvalMetrics`]): per-kind
 //!    gate counts, level widths, peak register count, nanoseconds and
 //!    bytes touched per evaluation — the numbers the bench harness
-//!    exports next to circuit size/depth.
+//!    exports next to circuit size/depth. Level widths are static PRAM
+//!    accounting from the circuit's wire depths (see
+//!    [`crate::brent_steps`]), not a property of the tape order.
 //!
 //! Assertion semantics match [`Circuit::evaluate`] exactly and
 //! deterministically: every lane reports the **lowest-index** failing
-//! [`Gate::AssertZero`], independent of thread count or tape order,
-//! because gate values are pure functions of the inputs so the engine
-//! can keep evaluating past a failure and take the minimum.
+//! [`Gate::AssertZero`], because gate values are pure functions of the
+//! inputs so the engine can keep evaluating past a failure and take the
+//! minimum (the optimizer's assert-origin map need not be monotonic).
 
-use crate::ir::{Circuit, EvalError, Gate, WireId};
+use crate::ir::{Circuit, EvalError, Gate};
 use crate::opt::OptStats;
 
 /// Register index in the compiled tape.
 type Reg = u32;
 
-/// One compiled instruction: operation + source registers + destination
-/// register. Sources always refer to registers written in strictly
-/// earlier levels, destinations never alias a same-level source (the
-/// allocator frees registers only at level boundaries), which is what
-/// makes the threaded path race-free.
+/// One compiled instruction, one variant per opcode. Sources are always
+/// registers written by earlier instructions, and the destination never
+/// equals a source: a source register is freed only after the
+/// instruction that reads it last has taken its destination. `exec_op`
+/// relies on that to alias register lanes safely.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     /// `dst ← inputs[idx]` (per lane).
-    Input { dst: Reg, idx: u32 },
-    /// `dst ← v` (all lanes).
-    Const { dst: Reg, v: u64 },
-    /// Binary word op; `kind` indexes [`BinKind`].
-    Bin {
+    Input {
         dst: Reg,
-        kind: BinKind,
+        idx: u32,
+    },
+    /// `dst ← lo | hi << 32` (all lanes); split in halves so the
+    /// instruction stays 4-byte aligned.
+    Const {
+        dst: Reg,
+        lo: u32,
+        hi: u32,
+    },
+    Add {
+        dst: Reg,
+        a: Reg,
+        b: Reg,
+    },
+    Sub {
+        dst: Reg,
+        a: Reg,
+        b: Reg,
+    },
+    Mul {
+        dst: Reg,
+        a: Reg,
+        b: Reg,
+    },
+    Eq {
+        dst: Reg,
+        a: Reg,
+        b: Reg,
+    },
+    Lt {
+        dst: Reg,
+        a: Reg,
+        b: Reg,
+    },
+    And {
+        dst: Reg,
+        a: Reg,
+        b: Reg,
+    },
+    Or {
+        dst: Reg,
+        a: Reg,
+        b: Reg,
+    },
+    Xor {
+        dst: Reg,
         a: Reg,
         b: Reg,
     },
     /// `dst ← (a == 0)`.
-    Not { dst: Reg, a: Reg },
+    Not {
+        dst: Reg,
+        a: Reg,
+    },
     /// `dst ← s ≠ 0 ? a : b`.
-    Mux { dst: Reg, s: Reg, a: Reg, b: Reg },
+    Mux {
+        dst: Reg,
+        s: Reg,
+        a: Reg,
+        b: Reg,
+    },
     /// Checks `a == 0`; records `(gate, value)` per failing lane and
     /// writes `0` to `dst` (matching the interpreter).
-    AssertZero { dst: Reg, a: Reg, gate: u32 },
+    AssertZero {
+        dst: Reg,
+        a: Reg,
+        gate: u32,
+    },
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BinKind {
-    Add,
-    Sub,
-    Mul,
-    Eq,
-    Lt,
-    And,
-    Or,
-    Xor,
-}
+const _: () = assert!(std::mem::size_of::<Op>() == 20);
+
+/// Lanes per tape pass: the batch is processed in tiles of at most this
+/// many lanes, so the register file (`peak_registers × tile × 8` bytes)
+/// stays cache-resident. 16 is the measured sweet spot across
+/// 2·10⁵–1.3·10⁶ gate circuits: wide enough that SIMD lane loops and
+/// tape-decode amortization engage; 32 and 64 lose more to register-file
+/// spill than they gain.
+const LANE_TILE: usize = 16;
 
 /// Gate-kind slots for [`EngineStats::gate_counts`], in a fixed order.
 pub const GATE_KINDS: [&str; 13] = [
@@ -146,10 +194,11 @@ pub struct EngineStats {
     /// wires. Strictly below `circuit_wires` whenever liveness-based
     /// reuse engages, and typically far below `circuit_size`.
     pub peak_registers: usize,
-    /// Number of levels (depth-equal instruction groups, including the
-    /// input/constant level 0).
+    /// Number of levels (depth-equal wire groups, including the
+    /// input/constant level 0) — static PRAM accounting from the
+    /// circuit's wire depths; the tape itself runs in program order.
     pub num_levels: usize,
-    /// Instructions per level.
+    /// Wires per level.
     pub level_widths: Vec<u32>,
     /// Per-kind gate counts, indexed like [`GATE_KINDS`].
     pub gate_counts: [u64; 13],
@@ -180,8 +229,6 @@ impl EngineStats {
 pub struct EvalMetrics {
     /// Instances evaluated in the call.
     pub instances: usize,
-    /// Worker threads used (1 = the sequential batched path).
-    pub threads: usize,
     /// Wall-clock nanoseconds for the whole call.
     pub eval_ns: u128,
     /// Instruction executions: `tape_len × instances`.
@@ -202,13 +249,10 @@ impl EvalMetrics {
     }
 }
 
-/// A circuit compiled to a register-allocated, level-major instruction
-/// tape, reusable across any number of evaluations.
+/// A circuit compiled to a register-allocated, program-order
+/// instruction tape, reusable across any number of evaluations.
 pub struct CompiledCircuit {
     tape: Vec<Op>,
-    /// Half-open instruction ranges per level; `level_ranges[d] =
-    /// (start, end)` indexes into `tape`.
-    level_ranges: Vec<(u32, u32)>,
     /// Output registers in output order.
     output_regs: Vec<Reg>,
     num_inputs: usize,
@@ -228,183 +272,105 @@ impl CompiledCircuit {
             return Err(EvalError::CountOnly);
         }
         let gates = c.gates();
-        let depths = c.wire_depths();
         let n = gates.len();
-        debug_assert_eq!(
-            n,
-            depths.len(),
-            "build-mode circuits have one gate per wire"
-        );
-        let max_depth = depths.iter().copied().max().unwrap_or(0) as usize;
 
-        // --- liveness: last level reading each wire (u32::MAX = pinned) ---
+        // --- liveness: the last instruction reading each wire. A wire
+        //     nobody reads dies at its own definition; outputs never die.
         const PINNED: u32 = u32::MAX;
-        let mut last_use = vec![0u32; n];
-        for (i, (g, &d)) in gates.iter().zip(depths).enumerate() {
-            // a wire nobody reads dies at its own definition level
-            last_use[i] = last_use[i].max(d);
+        let mut last_use: Vec<u32> = (0..n as u32).collect();
+        for (i, g) in gates.iter().enumerate() {
             for w in g.operands().into_iter().flatten() {
-                last_use[w as usize] = last_use[w as usize].max(d);
+                last_use[w as usize] = i as u32;
             }
         }
         for &w in c.outputs() {
             last_use[w as usize] = PINNED;
         }
 
-        // --- level-major gate order ---
-        let mut by_level: Vec<Vec<u32>> = vec![Vec::new(); max_depth + 1];
-        for (i, &d) in depths.iter().enumerate() {
-            by_level[d as usize].push(i as u32);
-        }
-
-        // --- register allocation, freeing only at level boundaries so
-        //     a level's destinations can never alias its sources ---
-        let mut reg_of = vec![u32::MAX; n];
+        // --- register allocation in program order. The destination is
+        //     taken before the instruction's dying sources are freed, so
+        //     it can never alias one of them. ---
+        let mut reg_of = vec![Reg::MAX; n];
         let mut free: Vec<Reg> = Vec::new();
-        let mut expire_at: Vec<Vec<Reg>> = vec![Vec::new(); max_depth + 2];
         let mut num_regs = 0u32;
         let mut tape = Vec::with_capacity(n);
-        let mut level_ranges = Vec::with_capacity(max_depth + 1);
         let mut gate_counts = [0u64; 13];
         let mut bytes_per_instance = 0u64;
-
-        for (level, members) in by_level.iter().enumerate() {
-            for &r in &expire_at[level] {
-                free.push(r);
-            }
-            let start = tape.len() as u32;
-            for &gi in members {
-                let g = &gates[gi as usize];
-                gate_counts[kind_index(g)] += 1;
-                let dst = match free.pop() {
-                    Some(r) => r,
-                    None => {
-                        num_regs += 1;
-                        num_regs - 1
-                    }
-                };
-                reg_of[gi as usize] = dst;
-                let last = last_use[gi as usize];
-                if last != PINNED {
-                    expire_at[last as usize + 1].push(dst);
-                }
-                let src = |w: WireId| -> Reg {
-                    debug_assert_ne!(reg_of[w as usize], u32::MAX, "operand compiled first");
+        for (i, g) in gates.iter().enumerate() {
+            gate_counts[kind_index(g)] += 1;
+            let dst = free.pop().unwrap_or_else(|| {
+                num_regs += 1;
+                num_regs - 1
+            });
+            let operands = g.operands();
+            let [x, y, z] = operands.map(|w| {
+                w.map_or(Reg::MAX, |w| {
+                    // `exec_op` indexes the register file with this, so the
+                    // operand must already hold a register.
+                    assert!(
+                        (w as usize) < i,
+                        "gate {i} reads wire {w} before its definition"
+                    );
                     reg_of[w as usize]
-                };
-                let (op, reads) = match *g {
-                    Gate::Input(idx) => (
-                        Op::Input {
-                            dst,
-                            idx: idx as u32,
-                        },
-                        0,
-                    ),
-                    Gate::Const(v) => (Op::Const { dst, v }, 0),
-                    Gate::Add(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Add,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Sub(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Sub,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Mul(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Mul,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Eq(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Eq,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Lt(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Lt,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::And(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::And,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Or(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Or,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Xor(a, b) => (
-                        Op::Bin {
-                            dst,
-                            kind: BinKind::Xor,
-                            a: src(a),
-                            b: src(b),
-                        },
-                        2,
-                    ),
-                    Gate::Not(a) => (Op::Not { dst, a: src(a) }, 1),
-                    Gate::Mux(s, a, b) => (
-                        Op::Mux {
-                            dst,
-                            s: src(s),
-                            a: src(a),
-                            b: src(b),
-                        },
-                        3,
-                    ),
-                    Gate::AssertZero(a) => {
-                        // Report failures against the SOURCE circuit's
-                        // gate numbering when an optimizer mapping exists.
-                        let src_gate = origin.and_then(|st| st.origin_of(gi)).unwrap_or(gi);
-                        (
-                            Op::AssertZero {
-                                dst,
-                                a: src(a),
-                                gate: src_gate,
-                            },
-                            1,
-                        )
-                    }
-                };
-                bytes_per_instance += 8 * (reads + 1);
-                tape.push(op);
+                })
+            });
+            let (a, b) = (x, y);
+            tape.push(match *g {
+                Gate::Input(idx) => Op::Input {
+                    dst,
+                    idx: idx as u32,
+                },
+                Gate::Const(v) => Op::Const {
+                    dst,
+                    lo: v as u32,
+                    hi: (v >> 32) as u32,
+                },
+                Gate::Add(..) => Op::Add { dst, a, b },
+                Gate::Sub(..) => Op::Sub { dst, a, b },
+                Gate::Mul(..) => Op::Mul { dst, a, b },
+                Gate::Eq(..) => Op::Eq { dst, a, b },
+                Gate::Lt(..) => Op::Lt { dst, a, b },
+                Gate::And(..) => Op::And { dst, a, b },
+                Gate::Or(..) => Op::Or { dst, a, b },
+                Gate::Xor(..) => Op::Xor { dst, a, b },
+                Gate::Not(_) => Op::Not { dst, a },
+                Gate::Mux(..) => Op::Mux {
+                    dst,
+                    s: x,
+                    a: y,
+                    b: z,
+                },
+                // Report failures against the SOURCE circuit's gate
+                // numbering when an optimizer mapping exists.
+                Gate::AssertZero(_) => Op::AssertZero {
+                    dst,
+                    a,
+                    gate: origin
+                        .and_then(|st| st.origin_of(i as u32))
+                        .unwrap_or(i as u32),
+                },
+            });
+            reg_of[i] = dst;
+            for (k, w) in operands.iter().enumerate() {
+                let Some(w) = *w else { continue };
+                bytes_per_instance += 8;
+                // `add(x, x)` reads `x` twice but frees it once
+                if last_use[w as usize] == i as u32 && !operands[..k].contains(&Some(w)) {
+                    free.push(reg_of[w as usize]);
+                }
             }
-            level_ranges.push((start, tape.len() as u32));
+            bytes_per_instance += 8;
+            if last_use[i] == i as u32 {
+                free.push(dst);
+            }
         }
 
+        let depths = c.wire_depths();
+        let mut level_widths = vec![0u32; depths.iter().max().map_or(1, |&d| d as usize + 1)];
+        for &d in depths {
+            level_widths[d as usize] += 1;
+        }
         let output_regs = c.outputs().iter().map(|&w| reg_of[w as usize]).collect();
-        let level_widths = level_ranges.iter().map(|&(s, e)| e - s).collect();
         let stats = EngineStats {
             circuit_size: c.size(),
             circuit_depth: c.depth(),
@@ -414,14 +380,13 @@ impl CompiledCircuit {
             opt: None,
             tape_len: tape.len(),
             peak_registers: num_regs as usize,
-            num_levels: level_ranges.len(),
+            num_levels: level_widths.len(),
             level_widths,
             gate_counts,
             bytes_per_instance,
         };
         Ok(CompiledCircuit {
             tape,
-            level_ranges,
             output_regs,
             num_inputs: c.num_inputs(),
             num_regs: num_regs as usize,
@@ -446,64 +411,30 @@ impl CompiledCircuit {
             .expect("one lane in, one out")
     }
 
-    /// Evaluates a batch of instances through one tape pass
-    /// (structure-of-arrays: every register holds one lane per
-    /// instance). Each instance gets exactly the result
+    /// Evaluates a batch of instances, one tape pass per tile of at most
+    /// [`LANE_TILE`] lanes (structure-of-arrays: every register holds one
+    /// lane per instance). Each instance gets exactly the result
     /// [`Circuit::evaluate`] would give it: outputs on success, or the
     /// lowest-index failing assertion.
     pub fn evaluate_batch<I: AsRef<[u64]>>(
         &self,
         instances: &[I],
     ) -> Vec<Result<Vec<u64>, EvalError>> {
-        self.evaluate_batch_metered(instances, 1).0
+        self.evaluate_batch_metered(instances).0
     }
 
-    /// Level-parallel batched evaluation: each level's instructions are
-    /// split across `threads` workers (one barrier per level — Brent's
-    /// PRAM schedule), and every worker processes all lanes of its
-    /// instructions. Identical results to [`Self::evaluate_batch`] for
-    /// every thread count.
-    pub fn evaluate_batch_threaded<I: AsRef<[u64]> + Sync>(
-        &self,
-        instances: &[I],
-        threads: usize,
-    ) -> Vec<Result<Vec<u64>, EvalError>> {
-        self.evaluate_batch_metered(instances, threads).0
-    }
-
-    /// Lanes per tape pass: the batch is processed in tiles sized so
-    /// the register file (`peak_registers × tile × 8` bytes) stays
-    /// cache-resident — on large circuits a full-width register file
-    /// spills to DRAM and the batching win evaporates.
-    fn lane_tile(&self, b: usize) -> usize {
-        if let Some(t) = std::env::var("QEC_ENGINE_TILE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            return t.clamp(1, b.max(1));
-        }
-        // 16 lanes is the measured sweet spot across 2·10⁵–1.3·10⁶ gate
-        // circuits: wide enough that SIMD lane loops and tape-decode
-        // amortization engage, narrow enough that `peak_registers × 16`
-        // words stay cache-resident. Wider tiles lose more to register
-        // -file spill than they gain in decode amortization.
-        16.min(b.max(1))
-    }
-
-    /// [`Self::evaluate_batch_threaded`] plus wall-clock/traffic
-    /// metrics for the call.
+    /// [`Self::evaluate_batch`] plus wall-clock/traffic metrics for the
+    /// call.
     pub fn evaluate_batch_metered<I: AsRef<[u64]>>(
         &self,
         instances: &[I],
-        threads: usize,
     ) -> (Vec<Result<Vec<u64>, EvalError>>, EvalMetrics) {
-        assert!(threads >= 1, "at least one worker");
         let start = std::time::Instant::now();
-        let tile = self.lane_tile(instances.len());
+        let tile = LANE_TILE.min(instances.len().max(1));
         let mut regs = vec![0u64; self.num_regs * tile];
         let mut results = Vec::with_capacity(instances.len());
 
-        for chunk in instances.chunks(tile.max(1)) {
+        for chunk in instances.chunks(tile) {
             let b = chunk.len();
             let mut failures: Vec<(u32, u64)> = vec![(u32::MAX, 0); b];
             // Lanes with the wrong arity error out up front and are
@@ -516,22 +447,12 @@ impl CompiledCircuit {
 
             // Register values never leak between tiles: every register
             // is written by its defining instruction before first read.
-            if threads == 1 || self.tape.len() < 4096 {
-                self.run_tape_sequential(
-                    chunk,
-                    &arity_ok,
-                    &mut regs[..self.num_regs * b],
-                    &mut failures,
-                );
-            } else {
-                self.run_tape_threaded(
-                    chunk,
-                    &arity_ok,
-                    &mut regs[..self.num_regs * b],
-                    &mut failures,
-                    threads,
-                );
-            }
+            self.run_tape(
+                chunk,
+                &arity_ok,
+                &mut regs[..self.num_regs * b],
+                &mut failures,
+            );
 
             results.extend((0..b).map(|lane| {
                 if !arity_ok[lane] {
@@ -557,7 +478,6 @@ impl CompiledCircuit {
 
         let metrics = EvalMetrics {
             instances: instances.len(),
-            threads,
             eval_ns: start.elapsed().as_nanos(),
             gate_evals: (self.tape.len() * instances.len()) as u64,
             bytes_touched: self.stats.bytes_per_instance * instances.len() as u64,
@@ -565,26 +485,27 @@ impl CompiledCircuit {
         (results, metrics)
     }
 
-    fn run_tape_sequential<I: AsRef<[u64]>>(
+    fn run_tape<I: AsRef<[u64]>>(
         &self,
         instances: &[I],
         arity_ok: &[bool],
         regs: &mut [u64],
         failures: &mut [(u32, u64)],
     ) {
-        // Monomorphize the hot tile widths: with a compile-time lane
+        // Monomorphize the common tile widths: with a compile-time lane
         // count the per-lane loops in `exec_op` unroll and vectorize.
+        // Widths 1 and 2 are what a serving open loop forms.
         match instances.len() {
+            1 => self.run_tape_mono::<I, 1>(instances, arity_ok, regs, failures),
+            2 => self.run_tape_mono::<I, 2>(instances, arity_ok, regs, failures),
+            4 => self.run_tape_mono::<I, 4>(instances, arity_ok, regs, failures),
             8 => self.run_tape_mono::<I, 8>(instances, arity_ok, regs, failures),
             16 => self.run_tape_mono::<I, 16>(instances, arity_ok, regs, failures),
-            32 => self.run_tape_mono::<I, 32>(instances, arity_ok, regs, failures),
-            64 => self.run_tape_mono::<I, 64>(instances, arity_ok, regs, failures),
             b => {
                 for op in &self.tape {
                     // SAFETY: `exec_op` only requires that the instruction's
-                    // destination register differ from its source registers,
-                    // which the allocator guarantees (frees happen strictly at
-                    // level boundaries).
+                    // destination register differ from its source
+                    // registers, which the allocator guarantees.
                     unsafe { exec_op(op, regs.as_mut_ptr(), b, instances, arity_ok, failures) };
                 }
             }
@@ -661,106 +582,49 @@ impl CompiledCircuit {
             unsafe { exec_op(op, regs.as_mut_ptr(), B, instances, arity_ok, failures) };
         }
     }
+}
 
-    fn run_tape_threaded<I: AsRef<[u64]>>(
-        &self,
-        instances: &[I],
-        arity_ok: &[bool],
-        regs: &mut [u64],
-        failures: &mut [(u32, u64)],
-        threads: usize,
-    ) {
-        let b = instances.len();
-        // Level 0 (input gathers and constant fills) runs inline: it is
-        // a cheap copy pass, and keeping it here means worker threads
-        // never see the caller's instance type (no `Sync` bound) and
-        // the levels they do run contain no `Op::Input`/`Op::Const`.
-        let (s0, e0) = self.level_ranges[0];
-        for op in &self.tape[s0 as usize..e0 as usize] {
-            // SAFETY: see `run_tape_sequential`.
-            unsafe { exec_op(op, regs.as_mut_ptr(), b, instances, arity_ok, failures) };
-        }
-
-        struct RegsPtr(*mut u64);
-        // SAFETY token: within one level every instruction writes only
-        // its own destination register (distinct per instruction, never
-        // aliasing same-level sources), so per-level worker chunks are
-        // disjoint writers over the register file.
-        unsafe impl Sync for RegsPtr {}
-        let ptr = RegsPtr(regs.as_mut_ptr());
-        let barrier = std::sync::Barrier::new(threads);
-        let merged = std::sync::Mutex::new(failures.to_vec());
-        let no_instances: &[&[u64]] = &[];
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let ptr = &ptr;
-                let barrier = &barrier;
-                let merged = &merged;
-                scope.spawn(move || {
-                    let mut local: Vec<(u32, u64)> = Vec::new();
-                    for &(start, end) in &self.level_ranges[1..] {
-                        let len = (end - start) as usize;
-                        let chunk = len.div_ceil(threads);
-                        let lo = start as usize + (worker * chunk).min(len);
-                        let hi = start as usize + ((worker + 1) * chunk).min(len);
-                        if local.is_empty()
-                            && self.tape[lo..hi]
-                                .iter()
-                                .any(|op| matches!(op, Op::AssertZero { .. }))
-                        {
-                            local = vec![(u32::MAX, 0); b];
-                        }
-                        for op in &self.tape[lo..hi] {
-                            // SAFETY: see RegsPtr — destination registers
-                            // are uniquely owned within a level and
-                            // sources were finalized by earlier levels
-                            // (enforced by the barrier below). Levels
-                            // ≥ 1 never contain `Op::Input`, so the
-                            // empty instance list is never read.
-                            unsafe {
-                                exec_op(op, ptr.0, b, no_instances, &[], &mut local);
-                            }
-                        }
-                        barrier.wait();
-                    }
-                    if !local.is_empty() {
-                        let mut m = merged.lock().expect("poison-free");
-                        for (lane, &(gate, value)) in local.iter().enumerate() {
-                            if gate < m[lane].0 {
-                                m[lane] = (gate, value);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        failures.copy_from_slice(&merged.into_inner().expect("poison-free"));
+/// One binary instruction over all `lanes` lanes.
+///
+/// # Safety
+/// As [`exec_op`]: the three registers lie in the register file and
+/// `dst` differs from `a` and `b`.
+#[inline(always)]
+unsafe fn bin(regs: *mut u64, lanes: usize, dst: Reg, a: Reg, b: Reg, f: impl Fn(u64, u64) -> u64) {
+    debug_assert!(dst != a && dst != b);
+    let d = std::slice::from_raw_parts_mut(regs.add(dst as usize * lanes), lanes);
+    let x = std::slice::from_raw_parts(regs.add(a as usize * lanes), lanes);
+    let y = std::slice::from_raw_parts(regs.add(b as usize * lanes), lanes);
+    for ((d, &x), &y) in d.iter_mut().zip(x).zip(y) {
+        *d = f(x, y);
     }
 }
 
-/// Executes one instruction over all `b` lanes.
+/// Executes one instruction over all `lanes` lanes.
 ///
 /// # Safety
-/// `regs` must point to a register file of at least `num_regs × b`
+/// `regs` must point to a register file of at least `num_regs × lanes`
 /// words, and the instruction's destination register must be distinct
 /// from its source registers (guaranteed by the compiler's
-/// level-boundary register allocation). Under threading, no other
-/// worker may write this instruction's destination concurrently.
+/// per-instruction liveness allocation).
 #[inline(always)]
 unsafe fn exec_op<I: AsRef<[u64]>>(
     op: &Op,
     regs: *mut u64,
-    b: usize,
+    lanes: usize,
     instances: &[I],
     arity_ok: &[bool],
     failures: &mut [(u32, u64)],
 ) {
-    let lanes = |r: Reg| -> &[u64] { std::slice::from_raw_parts(regs.add(r as usize * b), b) };
-    let lanes_mut =
-        |r: Reg| -> &mut [u64] { std::slice::from_raw_parts_mut(regs.add(r as usize * b), b) };
+    let src =
+        |r: Reg| -> &[u64] { std::slice::from_raw_parts(regs.add(r as usize * lanes), lanes) };
+    let dst_mut = |r: Reg| -> &mut [u64] {
+        std::slice::from_raw_parts_mut(regs.add(r as usize * lanes), lanes)
+    };
+    let bit = |v: u64| u64::from(v != 0);
     match *op {
         Op::Input { dst, idx } => {
-            let d = lanes_mut(dst);
+            let d = dst_mut(dst);
             for (lane, inst) in instances.iter().enumerate() {
                 d[lane] = if arity_ok[lane] {
                     inst.as_ref()[idx as usize]
@@ -769,76 +633,32 @@ unsafe fn exec_op<I: AsRef<[u64]>>(
                 };
             }
         }
-        Op::Const { dst, v } => lanes_mut(dst).fill(v),
-        Op::Bin {
-            dst,
-            kind,
-            a,
-            b: rb,
-        } => {
-            debug_assert!(dst != a && dst != rb);
-            let (d, x, y) = (lanes_mut(dst), lanes(a), lanes(rb));
-            match kind {
-                BinKind::Add => {
-                    for i in 0..b {
-                        d[i] = x[i].wrapping_add(y[i]);
-                    }
-                }
-                BinKind::Sub => {
-                    for i in 0..b {
-                        d[i] = x[i].wrapping_sub(y[i]);
-                    }
-                }
-                BinKind::Mul => {
-                    for i in 0..b {
-                        d[i] = x[i].wrapping_mul(y[i]);
-                    }
-                }
-                BinKind::Eq => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] == y[i]);
-                    }
-                }
-                BinKind::Lt => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] < y[i]);
-                    }
-                }
-                BinKind::And => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] != 0) & u64::from(y[i] != 0);
-                    }
-                }
-                BinKind::Or => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] != 0) | u64::from(y[i] != 0);
-                    }
-                }
-                BinKind::Xor => {
-                    for i in 0..b {
-                        d[i] = u64::from(x[i] != 0) ^ u64::from(y[i] != 0);
-                    }
-                }
-            }
-        }
+        Op::Const { dst, lo, hi } => dst_mut(dst).fill(u64::from(lo) | u64::from(hi) << 32),
+        Op::Add { dst, a, b } => bin(regs, lanes, dst, a, b, u64::wrapping_add),
+        Op::Sub { dst, a, b } => bin(regs, lanes, dst, a, b, u64::wrapping_sub),
+        Op::Mul { dst, a, b } => bin(regs, lanes, dst, a, b, u64::wrapping_mul),
+        Op::Eq { dst, a, b } => bin(regs, lanes, dst, a, b, |x, y| u64::from(x == y)),
+        Op::Lt { dst, a, b } => bin(regs, lanes, dst, a, b, |x, y| u64::from(x < y)),
+        Op::And { dst, a, b } => bin(regs, lanes, dst, a, b, |x, y| bit(x) & bit(y)),
+        Op::Or { dst, a, b } => bin(regs, lanes, dst, a, b, |x, y| bit(x) | bit(y)),
+        Op::Xor { dst, a, b } => bin(regs, lanes, dst, a, b, |x, y| bit(x) ^ bit(y)),
         Op::Not { dst, a } => {
             debug_assert!(dst != a);
-            let (d, x) = (lanes_mut(dst), lanes(a));
-            for i in 0..b {
-                d[i] = u64::from(x[i] == 0);
+            for (d, &x) in dst_mut(dst).iter_mut().zip(src(a)) {
+                *d = u64::from(x == 0);
             }
         }
-        Op::Mux { dst, s, a, b: rb } => {
-            debug_assert!(dst != s && dst != a && dst != rb);
-            let (d, sv, x, y) = (lanes_mut(dst), lanes(s), lanes(a), lanes(rb));
-            for i in 0..b {
+        Op::Mux { dst, s, a, b } => {
+            debug_assert!(dst != s && dst != a && dst != b);
+            let (d, sv, x, y) = (dst_mut(dst), src(s), src(a), src(b));
+            for i in 0..lanes {
                 d[i] = if sv[i] != 0 { x[i] } else { y[i] };
             }
         }
         Op::AssertZero { dst, a, gate } => {
             debug_assert!(dst != a);
-            let (d, x) = (lanes_mut(dst), lanes(a));
-            for i in 0..b {
+            let (d, x) = (dst_mut(dst), src(a));
+            for i in 0..lanes {
                 d[i] = 0;
                 if x[i] != 0 && gate < failures[i].0 {
                     failures[i] = (gate, x[i]);
@@ -981,11 +801,9 @@ mod tests {
         assert_eq!(eng.evaluate(&[]), Ok(vec![]));
     }
 
-    #[test]
-    fn threaded_path_matches_sequential() {
-        // Wide circuit, big enough (> 4096 instructions) that
-        // `evaluate_batch_threaded` actually spawns workers; includes
-        // assertions so the failure-merge path runs under threads too.
+    /// A wide circuit whose assertions pass on some lanes and fail on
+    /// others.
+    fn wide_circuit() -> Circuit {
         let mut bld = Builder::new(Mode::Build);
         let xs: Vec<_> = (0..64).map(|_| bld.input()).collect();
         let mut layer = xs;
@@ -1002,31 +820,104 @@ mod tests {
         for &x in &layer {
             bld.assert_zero(x); // fires whenever the sum is nonzero
         }
-        let c = bld.finish(layer.clone());
+        bld.finish(layer)
+    }
+
+    /// Every lane width the tile loop can form: monomorphized (1, 2, 4,
+    /// 8, 16), dynamic (3, 5), and split across tiles (17, 33, 64).
+    #[test]
+    fn every_lane_width_matches_interpreter() {
+        let c = wide_circuit();
         let eng = compile(&c).unwrap();
-        assert!(
-            eng.stats().tape_len >= 4096,
-            "test must exercise the threaded path"
-        );
         assert!(eng.stats().peak_registers < c.num_wires());
-        let instances: Vec<Vec<u64>> = (0..9)
-            .map(|i| (0..64).map(|j| i * j % 5).collect())
-            .collect();
-        let seq = eng.evaluate_batch(&instances);
-        for (inst, got) in instances.iter().zip(&seq) {
-            assert_eq!(
-                *got,
-                c.evaluate(inst),
-                "sequential batch matches interpreter"
-            );
+        for width in [1usize, 2, 3, 4, 5, 8, 16, 17, 33, 64] {
+            let instances: Vec<Vec<u64>> = (0..width as u64)
+                .map(|i| (0..64).map(|j| i * j % 5).collect())
+                .collect();
+            for (inst, got) in instances.iter().zip(eng.evaluate_batch(&instances)) {
+                assert_eq!(got, c.evaluate(inst), "width {width}");
+            }
         }
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                eng.evaluate_batch_threaded(&instances, threads),
-                seq,
-                "{threads}"
-            );
+    }
+
+    /// The sources and destination of one instruction.
+    fn regs_of(op: &Op) -> (Reg, Vec<Reg>) {
+        match *op {
+            Op::Input { dst, .. } | Op::Const { dst, .. } => (dst, vec![]),
+            Op::Add { dst, a, b }
+            | Op::Sub { dst, a, b }
+            | Op::Mul { dst, a, b }
+            | Op::Eq { dst, a, b }
+            | Op::Lt { dst, a, b }
+            | Op::And { dst, a, b }
+            | Op::Or { dst, a, b }
+            | Op::Xor { dst, a, b } => (dst, vec![a, b]),
+            Op::Not { dst, a } | Op::AssertZero { dst, a, .. } => (dst, vec![a]),
+            Op::Mux { dst, s, a, b } => (dst, vec![s, a, b]),
         }
+    }
+
+    /// Checks the allocator invariant `exec_op`'s `unsafe` rests on, on
+    /// `c` compiled as is (instruction `i` is gate `i`): no destination
+    /// equals one of its sources, and every source register — and every
+    /// output register at the end — was last written by the instruction
+    /// that defines the wire read from it.
+    fn assert_allocation_sound(c: &Circuit) {
+        let eng = CompiledCircuit::compile_inner(c, None).unwrap();
+        assert_eq!(eng.tape.len(), c.gates().len());
+        let mut last_writer = vec![usize::MAX; eng.num_regs];
+        for (i, (op, g)) in eng.tape.iter().zip(c.gates()).enumerate() {
+            let (dst, srcs) = regs_of(op);
+            assert!(!srcs.contains(&dst), "instruction {i} aliases dst r{dst}");
+            for (src, w) in srcs.iter().zip(g.operands().into_iter().flatten()) {
+                assert_eq!(last_writer[*src as usize], w as usize, "instruction {i}");
+            }
+            last_writer[dst as usize] = i;
+        }
+        for (&r, &w) in eng.output_regs.iter().zip(c.outputs()) {
+            assert_eq!(last_writer[r as usize], w as usize, "output wire {w}");
+        }
+    }
+
+    /// The X15 join: R(a,b) ⋈ S(b,c), cap 16, degree bound 4.
+    fn x15_join() -> Circuit {
+        use crate::{encode_relation, join_degree_bounded};
+        use qec_relation::Var;
+        let mut b = Builder::new(Mode::Build);
+        let r = encode_relation(&mut b, vec![Var(0), Var(1)], 16);
+        let s = encode_relation(&mut b, vec![Var(1), Var(2)], 16);
+        let j = join_degree_bounded(&mut b, &r, &s, 4);
+        b.finish(j.flatten())
+    }
+
+    #[test]
+    fn allocator_never_aliases_and_reads_live_registers() {
+        let mut bld = Builder::new(Mode::Build);
+        let x = bld.input();
+        let y = bld.input();
+        let s = bld.add(x, x); // one wire read twice, freed once
+        let p = bld.mul(s, y);
+        let lt = bld.lt(x, y);
+        let m = bld.mux(lt, s, p);
+        bld.assert_zero(m);
+        let _dead = bld.sub(p, y); // read by nobody, dies at once
+        let mixed = bld.finish(vec![m, lt]);
+        let join = x15_join();
+        let (join_opt, _) = crate::opt::optimize_with(&join, &CompileOptions::sequential());
+        for c in [adder_chain(100), mixed, wide_circuit(), join, join_opt] {
+            assert_allocation_sound(&c);
+        }
+    }
+
+    #[test]
+    fn program_order_needs_fewer_registers_than_level_major() {
+        // 4,183 registers was the level-major tape's figure.
+        let eng = compile(&x15_join()).unwrap();
+        assert!(
+            eng.stats().peak_registers < 4183,
+            "{}",
+            eng.stats().peak_registers
+        );
     }
 
     #[test]
@@ -1038,7 +929,7 @@ mod tests {
         assert_eq!(s.gate_counts.iter().sum::<u64>(), c.num_wires() as u64);
         assert_eq!(s.level_widths.iter().sum::<u32>() as usize, s.tape_len);
         assert_eq!(s.gate_count_pairs(), vec![("input", 2), ("add", 10)]);
-        let (_, m) = eng.evaluate_batch_metered(&[vec![1u64, 2]], 1);
+        let (_, m) = eng.evaluate_batch_metered(&[vec![1u64, 2]]);
         assert_eq!(m.instances, 1);
         assert_eq!(m.gate_evals, s.tape_len as u64);
         assert!(m.eval_ns > 0);

@@ -71,7 +71,7 @@ pub use rel::{
     SlotWires,
 };
 pub use scan::{scan, segmented_scan};
-pub use schedule::{brent_steps, evaluate_levelized, level_widths};
+pub use schedule::{brent_steps, level_widths};
 pub use sort::{sort_slots, sort_slots_network, SortKey, SortNetwork};
 pub use tape::{fnv1a64, lower_streamed, BitTape, StreamOptions, StreamStats, TapeError, WordTape};
 pub use validate::{

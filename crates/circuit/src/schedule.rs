@@ -1,41 +1,11 @@
-//! Brent's theorem, operationally (Sec. 1): a circuit of size `W` and
-//! depth `D` runs on a `P`-processor PRAM in `O(W/P + D)` steps by
-//! executing it level by level.
+//! Brent's theorem, as static accounting (Sec. 1): a circuit of size
+//! `W` and depth `D` runs on a `P`-processor PRAM in `O(W/P + D)` steps
+//! by executing it level by level. This module counts those steps; it
+//! does not run circuits. The evaluation engine
+//! ([`crate::CompiledCircuit`]) runs one thread in program order, since
+//! a level-parallel path measured no gain on a 2-core host.
 
-use crate::driver::CompileOptions;
-use crate::engine::CompiledCircuit;
-use crate::{Circuit, EvalError};
-
-/// Evaluates a materialized circuit with a levelized multi-threaded
-/// schedule: gates of equal depth are independent by construction, so
-/// each level is split across `threads` workers with a barrier between
-/// levels — the PRAM schedule behind Brent's theorem, realized with OS
-/// threads.
-///
-/// Since the engine rework this compiles the circuit to a
-/// register-allocated tape ([`CompiledCircuit`]) and runs its
-/// level-parallel path on a single-instance batch. Results are
-/// deterministic for every thread count: an input that violates several
-/// assertions always reports the **lowest-index** failing gate, exactly
-/// like [`Circuit::evaluate`]. Worthwhile only for large circuits — for
-/// small ones thread coordination dominates; callers that evaluate many
-/// inputs should compile once and use [`CompiledCircuit::evaluate_batch`]
-/// directly.
-pub fn evaluate_levelized(
-    c: &Circuit,
-    inputs: &[u64],
-    threads: usize,
-) -> Result<Vec<u64>, EvalError> {
-    assert!(threads >= 1);
-    if c.gates().is_empty() {
-        return c.evaluate(inputs); // count-only or trivial: delegate
-    }
-    let (compiled, _) = CompiledCircuit::compile_with(c, &CompileOptions::from_env())?;
-    compiled
-        .evaluate_batch_threaded(std::slice::from_ref(&inputs), threads)
-        .pop()
-        .expect("one lane in, one out")
-}
+use crate::Circuit;
 
 /// Number of logic gates at each depth level `1..=depth` (level `d` holds
 /// gates whose longest input path is `d`).
@@ -94,96 +64,6 @@ mod tests {
             let bound = c.size() / p + u64::from(c.depth());
             assert!(steps <= bound, "p = {p}: {steps} > {bound}");
             assert!(steps >= (c.size() / p).max(u64::from(c.depth())));
-        }
-    }
-
-    #[test]
-    fn levelized_evaluation_matches_sequential() {
-        use crate::rel::{encode_relation, relation_to_values};
-        use crate::sort::{sort_slots, SortKey};
-        use qec_relation::{Relation, Var};
-        let mut b = Builder::new(Mode::Build);
-        let w = encode_relation(&mut b, vec![Var(0), Var(1)], 32);
-        let s = sort_slots(&mut b, &w, &SortKey::Columns(vec![Var(0)]));
-        let c = b.finish(s.flatten());
-        let r = Relation::from_rows(
-            vec![Var(0), Var(1)],
-            (0..30u64).map(|i| vec![97 - 3 * i, i]).collect(),
-        );
-        let inputs = relation_to_values(&r, 32).unwrap();
-        let seq = c.evaluate(&inputs).unwrap();
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(
-                evaluate_levelized(&c, &inputs, threads).unwrap(),
-                seq,
-                "{threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn levelized_assertions_fire() {
-        let mut b = Builder::new(Mode::Build);
-        let xs: Vec<_> = (0..64).map(|_| b.input()).collect();
-        // wide level of asserts so the parallel path actually engages
-        for &x in &xs {
-            let y = b.not(x);
-            b.assert_zero(y); // fires when x == 0
-        }
-        let c = b.finish(vec![]);
-        let ones = vec![1u64; 64];
-        assert!(evaluate_levelized(&c, &ones, 4).is_ok());
-        let mut bad = ones.clone();
-        bad[17] = 0;
-        assert!(matches!(
-            evaluate_levelized(&c, &bad, 4),
-            Err(EvalError::AssertionFailed { .. })
-        ));
-    }
-
-    #[test]
-    fn levelized_assertion_failure_is_deterministic() {
-        // Two assertions in the same level, both violated: every thread
-        // count must report the lowest-index gate, like the sequential
-        // interpreter — not whichever worker lost the race. Regression
-        // test for the old shared failure slot that was overwritten by
-        // the last worker to fail.
-        let mut b = Builder::new(Mode::Build);
-        let xs: Vec<_> = (0..64).map(|_| b.input()).collect();
-        // enough padding that the engine's threaded path engages (it
-        // falls back to sequential below ~4k instructions); the padding
-        // gates must be unique and observable or hash-consing + DCE in
-        // `CompiledCircuit::compile` would strip them back out
-        let mut pad = Vec::new();
-        for i in 0..70u64 {
-            for (j, &x) in xs.iter().enumerate() {
-                let k = b.constant(1 + i * 64 + j as u64);
-                pad.push(b.add(x, k));
-            }
-        }
-        for &x in &xs {
-            // all asserts share one level; every one fires on input 1
-            b.assert_zero(x);
-        }
-        let c = b.finish(pad);
-        let ones = vec![1u64; 64];
-        let expected = c.evaluate(&ones);
-        let Err(EvalError::AssertionFailed {
-            gate: expect_gate, ..
-        }) = expected
-        else {
-            panic!("sequential evaluation must fail");
-        };
-        for threads in 1..=8 {
-            let got = evaluate_levelized(&c, &ones, threads);
-            assert_eq!(
-                got,
-                Err(EvalError::AssertionFailed {
-                    gate: expect_gate,
-                    value: 1
-                }),
-                "threads = {threads}"
-            );
         }
     }
 

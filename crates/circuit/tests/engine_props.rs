@@ -2,13 +2,10 @@
 //! interpreter: for random gate DAGs and random input batches,
 //! [`CompiledCircuit`] must reproduce [`Circuit::evaluate`]
 //! gate-for-gate — outputs, input-arity errors, and the index/value of
-//! the first failing assertion — on every lane and for every thread
-//! count.
+//! the first failing assertion — on every lane and at every lane width.
 
 use proptest::prelude::*;
-use qec_circuit::{
-    evaluate_levelized, Builder, Circuit, CompileOptions, CompiledCircuit, EvalError, Mode,
-};
+use qec_circuit::{Builder, Circuit, CompileOptions, CompiledCircuit, EvalError, Mode};
 
 /// Raw material for one random gate: kind selector plus operand seeds,
 /// reduced modulo the live wire count at build time.
@@ -99,19 +96,19 @@ proptest! {
             prop_assert_eq!(got.clone(), c.evaluate(inst));
         }
 
-        // threaded batch path: identical to the sequential batch
-        for threads in [2, 5] {
-            prop_assert_eq!(eng.evaluate_batch_threaded(&instances, threads), batch.clone());
+        // every lane width the tile loop forms — monomorphized,
+        // dynamic, and split across tiles — with the lanes repeated to
+        // fill it, so failing-assert and wrong-arity lanes land in every
+        // position of a tile
+        for width in [1usize, 2, 3, 4, 5, 8, 16, 17, 33, 64] {
+            let wide: Vec<Vec<u64>> = instances.iter().cycle().take(width).cloned().collect();
+            for (inst, got) in wide.iter().zip(eng.evaluate_batch(&wide)) {
+                prop_assert_eq!(got, c.evaluate(inst), "width {}", width);
+            }
         }
 
-        // single-instance conveniences agree too
+        // the single-instance convenience agrees too
         prop_assert_eq!(eng.evaluate(&instances[0]), c.evaluate(&instances[0]));
-        for threads in [1, 3] {
-            prop_assert_eq!(
-                evaluate_levelized(&c, &instances[0], threads),
-                c.evaluate(&instances[0])
-            );
-        }
     }
 
     /// Count-mode circuits (gate lists elided) refuse to compile with

@@ -4,7 +4,7 @@
 //! failing circuit never optimizes into a passing one, and the reported
 //! first-failing assert corresponds through `OptStats::assert_origin`).
 //! The compiled engine, which optimizes internally, must report the
-//! exact source-level lowest-gate-index failure for 1–8 threads.
+//! exact source-level lowest-gate-index failure at every lane width.
 
 use proptest::prelude::*;
 use qec_circuit::{
@@ -137,8 +137,9 @@ proptest! {
     }
 
     /// The engine compiles through the optimizer yet reports the same
-    /// lowest-gate-index assertion failure as the source interpreter,
-    /// for every thread count 1–8.
+    /// lowest-gate-index assertion failure as the source interpreter, at
+    /// every lane width the tile loop forms, with a wrong-arity lane in
+    /// the mix.
     #[test]
     fn compiled_optimized_engine_reports_source_failures(
         num_inputs in 1usize..6,
@@ -151,15 +152,16 @@ proptest! {
             .expect("build-mode circuits compile");
         prop_assert!(eng.stats().tape_len <= c.num_wires());
         prop_assert!(eng.stats().opt.is_some(), "compile runs the optimizer");
-        let instances: Vec<Vec<u64>> = raw_instances
+        let mut instances: Vec<Vec<u64>> = raw_instances
             .iter()
             .map(|vals| (0..num_inputs).map(|i| vals.get(i).copied().unwrap_or(3)).collect())
             .collect();
-        let expected: Vec<_> = instances.iter().map(|i| c.evaluate(i)).collect();
-        for threads in 1..=8usize {
-            let got = eng.evaluate_batch_threaded(&instances, threads);
+        instances.push(vec![0; num_inputs + 1]);
+        for width in [1usize, 2, 3, 4, 5, 8, 16, 17, 33, 64] {
+            let wide: Vec<Vec<u64>> = instances.iter().cycle().take(width).cloned().collect();
+            let expected: Vec<_> = wide.iter().map(|i| c.evaluate(i)).collect();
             // exact equality: outputs AND source-level gate indices/values
-            prop_assert_eq!(&got, &expected, "threads = {}", threads);
+            prop_assert_eq!(eng.evaluate_batch(&wide), expected, "width = {}", width);
         }
     }
 

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use qec_circuit::{
     aggregate, decode_relation, join_degree_bounded, join_pk, project, select, semijoin,
-    sort_slots, truncate, union, AggOp, Builder, Mode, SortKey,
+    sort_slots, truncate, union, AggOp, Builder, CompileOptions, CompiledCircuit, Mode, SortKey,
 };
 use qec_relation::{AggKind, Relation, Var, VarSet};
 
@@ -170,8 +170,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
+    /// The compiled engine reproduces the interpreter on an operator
+    /// circuit at small lane widths.
     #[test]
-    fn levelized_evaluator_matches_sequential(r in rel_strategy(&[0, 1], 12), s in rel_strategy(&[1, 2], 12), threads in 1usize..5) {
+    fn levelized_evaluator_matches_sequential(r in rel_strategy(&[0, 1], 12), s in rel_strategy(&[1, 2], 12), lanes in 1usize..5) {
         let mut b = Builder::new(Mode::Build);
         let rw = qec_circuit::encode_relation(&mut b, r.schema().to_vec(), 12);
         let sw = qec_circuit::encode_relation(&mut b, s.schema().to_vec(), 12);
@@ -179,9 +181,11 @@ proptest! {
         let c = b.finish(j.flatten());
         let mut vals = relation_values(&r, 12);
         vals.extend(relation_values(&s, 12));
-        let seq = c.evaluate(&vals).unwrap();
-        let par = qec_circuit::evaluate_levelized(&c, &vals, threads).unwrap();
-        prop_assert_eq!(seq, par);
+        let seq = c.evaluate(&vals);
+        let (eng, _) = CompiledCircuit::compile_with(&c, &CompileOptions::sequential()).unwrap();
+        for got in eng.evaluate_batch(&vec![vals; lanes]) {
+            prop_assert_eq!(&got, &seq);
+        }
     }
 }
 

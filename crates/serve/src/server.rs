@@ -102,7 +102,7 @@ impl Default for ServerConfig {
 /// query — the same convention as the differential-fuzzing corpus.
 #[derive(Clone, Debug)]
 pub struct Request {
-    /// Tenant identifier for quotas and per-tenant counters.
+    /// Tenant identifier for quotas.
     pub tenant: String,
     /// Query source, `parse_cq` syntax.
     pub query: String,
@@ -297,8 +297,6 @@ impl Server {
         }
         self.shared.cv.notify_one();
         cfg.recorder.add("serve.requests", 1);
-        cfg.recorder
-            .add(&format!("serve.tenant.{}.requests", req.tenant), 1);
         Ok(Ticket { rx })
     }
 
@@ -414,20 +412,26 @@ fn admit_datalog(req: &Request) -> Result<(PlanKey, JobPlan, Database), ServeErr
     ))
 }
 
+/// Returns one of `tenant`'s quota slots. An entry whose count reaches 0
+/// is removed, so the map holds only tenants with requests in flight.
 fn release_tenant(shared: &Shared, tenant: &str) {
     if shared.cfg.tenant_quota > 0 {
         let mut tenants = shared.tenants.lock().unwrap();
         if let Some(count) = tenants.get_mut(tenant) {
             *count = count.saturating_sub(1);
+            if *count == 0 {
+                tenants.remove(tenant);
+            }
         }
     }
 }
 
-/// Sends a job's result and releases its tenant-quota slot. A closed
+/// Releases a job's tenant-quota slot, then sends its result, so a
+/// caller that has its answer can submit again at once. A closed
 /// receiver (caller dropped the ticket) is not an error.
 fn respond(shared: &Shared, job: Job, result: Result<Response, ServeError>) {
-    let _ = job.reply.send(result);
     release_tenant(shared, &job.tenant);
+    let _ = job.reply.send(result);
 }
 
 /// Moves every queued job with `key` into `batch`, up to `max`.
@@ -499,6 +503,44 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 static PANIC_TENANT: Mutex<Option<String>> = Mutex::new(None);
 
+/// Builds the circuit a plan key is served with — [`choose_plan`]'s pick
+/// for a CQ, the unrolled fixpoint for Datalog — and compiles it, also
+/// returning the tape the cache persists.
+fn compile_plan(
+    key: &PlanKey,
+    spec: &JobPlan,
+    opts: &CompileOptions,
+) -> Result<(CompiledPlan, WordTape), ServeError> {
+    let t = Instant::now();
+    let (kind, lowered) = match spec {
+        JobPlan::Cq { canon, dcs } => {
+            let chosen =
+                choose_plan(&canon.cq, dcs).map_err(|e| ServeError::Compile(e.to_string()))?;
+            (Some(chosen.kind), chosen.rc.lower_with(Mode::Build, opts))
+        }
+        JobPlan::Datalog { program, depth } => {
+            let bounds = FixpointBounds::for_domain(*depth, *depth);
+            let fx = qec_datalog::compile(program, &bounds)
+                .map_err(|e| ServeError::Compile(e.to_string()))?;
+            (None, fx.rc.lower_with(Mode::Build, opts))
+        }
+    };
+    let tape =
+        WordTape::encode(&lowered.circuit).map_err(|e| ServeError::Compile(e.to_string()))?;
+    let (engine, _report) = CompiledCircuit::compile_with(&lowered.circuit, opts)
+        .map_err(|e| ServeError::Compile(format!("{e:?}")))?;
+    let plan = CompiledPlan {
+        key: key.clone(),
+        kind,
+        engine,
+        layout: lowered.layout,
+        outputs: lowered.outputs,
+        plan_bytes: tape.to_bytes().len(),
+        compile_ns: t.elapsed().as_nanos() as u64,
+    };
+    Ok((plan, tape))
+}
+
 /// Compiles (or fetches) the batch's plan, evaluates it, and answers
 /// every job. A job leaves `batch` only as it is answered, so a panic
 /// leaves the unanswered jobs behind for [`worker_loop`] to fail.
@@ -514,34 +556,7 @@ fn process_batch(shared: &Shared, batch: &mut Vec<Job>) {
 
     let built = shared.cache.get_or_compile(&key, || {
         let _span = cfg.recorder.span("serve.compile");
-        let t = Instant::now();
-        let (kind, lowered) = match &spec {
-            JobPlan::Cq { canon, dcs } => {
-                let chosen =
-                    choose_plan(&canon.cq, dcs).map_err(|e| ServeError::Compile(e.to_string()))?;
-                let lowered = chosen.rc.lower_with(Mode::Build, &cfg.compile);
-                (Some(chosen.kind), lowered)
-            }
-            JobPlan::Datalog { program, depth } => {
-                let bounds = FixpointBounds::for_domain(*depth, *depth);
-                let fx = qec_datalog::compile(program, &bounds)
-                    .map_err(|e| ServeError::Compile(e.to_string()))?;
-                (None, fx.rc.lower_with(Mode::Build, &cfg.compile))
-            }
-        };
-        let tape =
-            WordTape::encode(&lowered.circuit).map_err(|e| ServeError::Compile(e.to_string()))?;
-        let (engine, _report) = CompiledCircuit::compile_with(&lowered.circuit, &cfg.compile)
-            .map_err(|e| ServeError::Compile(format!("{e:?}")))?;
-        let plan = CompiledPlan {
-            key: key.clone(),
-            kind,
-            engine,
-            layout: lowered.layout,
-            outputs: lowered.outputs,
-            plan_bytes: tape.to_bytes().len(),
-            compile_ns: t.elapsed().as_nanos() as u64,
-        };
+        let (plan, tape) = compile_plan(&key, &spec, &cfg.compile)?;
         shared.cache.persist(&plan, &tape)?;
         Ok(plan)
     });
@@ -806,6 +821,56 @@ mod tests {
         assert!(t_busy.wait().is_ok());
         assert!(t1.wait().is_ok());
         assert!(t2.wait().is_ok());
+    }
+
+    /// The served triangle n = 8 plan (PANDA-C) runs on fewer registers
+    /// than its level-major tape needed (9,889), and the server's
+    /// answers still equal the pairwise baseline.
+    #[test]
+    fn served_triangle_plan_has_a_small_register_file() {
+        let (key, spec, _) = admit_cq(&triangle_request("t", 8, 0)).unwrap();
+        let (plan, _) = compile_plan(&key, &spec, &ServerConfig::default().compile).unwrap();
+        assert_eq!(plan.kind, Some(PlanKind::PandaC));
+        let regs = plan.engine.stats().peak_registers;
+        assert!(regs < 9889, "{regs}");
+        let mut server = Server::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        for seed in 0..4 {
+            let req = triangle_request("t", 8, seed);
+            let want = baseline_eval(&req);
+            assert_eq!(server.query(req).unwrap().relations[0], want, "{seed}");
+        }
+        server.shutdown();
+    }
+
+    /// The quota map holds only tenants with requests in flight: once
+    /// every request is answered it is empty again, however many
+    /// distinct tenant strings it has seen.
+    #[test]
+    fn tenant_map_is_empty_once_every_request_is_answered() {
+        let mut server = Server::start(ServerConfig {
+            workers: 1,
+            tenant_quota: 1,
+            ..ServerConfig::default()
+        });
+        let tickets: Vec<_> = (0..1000)
+            .map(|i| {
+                let req = Request {
+                    tenant: format!("tenant-{i}"),
+                    query: "Q(x, y) :- R(x, y)".into(),
+                    n: 2,
+                    rels: vec![("R".into(), vec![vec![1, 2]])],
+                };
+                server.submit(req).unwrap()
+            })
+            .collect();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        assert!(server.shared.tenants.lock().unwrap().is_empty());
+        server.shutdown();
     }
 
     #[test]
