@@ -2274,7 +2274,11 @@ pub fn x24_datalog_fixpoint() -> Table {
             // unrolled rounds share.
             let fx = compile(&dp, &bounds).expect("workload compiles");
             let consed = fx.rc.lower(Mode::Count).circuit.size();
-            let naive = fx.rc.lower_without_cse(Mode::Count).circuit.size();
+            let naive = fx
+                .rc
+                .lower_without_cse(Mode::Count, &CompileOptions::from_env())
+                .circuit
+                .size();
             assert!(
                 consed < naive,
                 "{name} d={d}: consing must collapse cross-iteration redundancy ({consed} vs {naive})"

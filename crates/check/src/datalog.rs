@@ -5,14 +5,16 @@
 //! (whose evaluation under the concrete semiring must reproduce the
 //! reference annotations), the compiled circuit's RAM interpretation,
 //! and the lowered word circuit under the full engine-options matrix —
-//! every decoded output must be bit-identical to the reference.
+//! every decoded output must be bit-identical to the reference. The
+//! lowered circuit must also optimize to the same circuit as its
+//! CSE-free build, the form `qec-serve` compiles.
 //!
 //! Cases serialize as `*.dlcase` text files (see [`format_datalog_case`])
 //! so failures become permanent corpus regressions, mirroring the CQ
 //! corpus format.
 
 use crate::case::EngineOptions;
-use crate::differ::{digest, harness, Divergence};
+use crate::differ::{check_cse_free_optimize, digest, harness, Divergence};
 use qec_circuit::{decode_relation, validate, CompileOptions, CompiledCircuit, Mode};
 use qec_datalog::{
     compile, database, eval_provenance, provenance, result_relation, seminaive, workloads,
@@ -171,6 +173,7 @@ pub fn run_datalog_case(
         stage: "datalog-lower",
         error: e.to_string(),
     })?;
+    check_cse_free_optimize(&fx.rc, &lowered.circuit)?;
     let inputs = lowered
         .layout
         .values(&db)

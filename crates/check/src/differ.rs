@@ -9,10 +9,12 @@
 //! 2. The relational circuit [`choose_plan`] picks — the one `qec-serve`
 //!    compiles — must match under its RAM interpreter, and so must the
 //!    candidate it rejected (full CQs: PANDA-C or naive).
-//! 3. The chosen circuit is lowered, structurally validated, checked for a
-//!    flat-tape serialize/decode round-trip (netlist equality), then
-//!    compiled and evaluated under every [`EngineOptions`] point in the
-//!    sweep matrix; each decoded output must equal the RAM ground truth.
+//! 3. The chosen circuit is lowered, structurally validated, checked to
+//!    optimize to the identical circuit when built without hash-consing
+//!    (as `qec-serve` builds it), checked for a flat-tape
+//!    serialize/decode round-trip (netlist equality), then compiled and
+//!    evaluated under every [`EngineOptions`] point in the sweep matrix;
+//!    each decoded output must equal the RAM ground truth.
 //! 4. Optionally the bit-level lowering and bit optimizer run under the
 //!    structural validator as well, plus a bit-tape round-trip, a
 //!    streaming-lowering parity check (a spill-forcing window must
@@ -28,8 +30,8 @@
 use crate::case::{Case, EngineOptions};
 use qec_circuit::{
     compile_bits_with, decode_relation, lower_streamed, lower_with, optimize_bits_with,
-    read_netlist, validate, validate_bits, write_netlist, BitEvalScratch, BitKernel, BitTape,
-    Circuit, CompileOptions, CompiledCircuit, Mode, StreamOptions, WordTape,
+    optimize_with, read_netlist, validate, validate_bits, write_netlist, BitEvalScratch, BitKernel,
+    BitTape, Circuit, CompileOptions, CompiledCircuit, Mode, StreamOptions, WordTape,
 };
 use qec_core::{choose_plan, OutputSensitive, PlanKind, RelationalCircuit};
 use qec_query::baseline::{evaluate_pairwise, generic_join, yannakakis};
@@ -313,6 +315,7 @@ pub fn run_case(
         stage: "lower",
         error: e.to_string(),
     })?;
+    check_cse_free_optimize(&rc, &lowered.circuit)?;
 
     // Stage 3b: flat-tape round-trip — encode the lowered word circuit
     // to an instruction tape, serialize, reload, decode, and demand the
@@ -619,6 +622,30 @@ fn check_ram(
         return Err(Divergence::Baseline {
             family,
             detail: format!("got {got}, want {}", digest(expect)),
+        });
+    }
+    Ok(())
+}
+
+/// Builds `rc` without hash-consing, as `qec-serve` does, and demands
+/// that it optimize to exactly the circuit its hash-consed build
+/// `consed` optimizes to: gate for gate, output for output.
+pub(crate) fn check_cse_free_optimize(
+    rc: &RelationalCircuit,
+    consed: &Circuit,
+) -> Result<(), Divergence> {
+    let opts = CompileOptions::sequential();
+    let free = rc.lower_without_cse(Mode::Build, &opts).circuit;
+    let (want, _) = optimize_with(consed, &opts);
+    let (got, _) = optimize_with(&free, &opts);
+    if got.gates() != want.gates() || got.outputs() != want.outputs() {
+        return Err(Divergence::Validator {
+            stage: "cse-free-optimize",
+            error: format!(
+                "the CSE-free build optimizes to {} gates, the hash-consed build to {}",
+                got.size(),
+                want.size()
+            ),
         });
     }
     Ok(())

@@ -399,6 +399,14 @@ impl CompiledCircuit {
         &self.stats
     }
 
+    /// Bytes the compiled program keeps resident between evaluations:
+    /// its instruction tape plus its output-register list. Register
+    /// files are per call and not counted.
+    pub fn resident_bytes(&self) -> usize {
+        self.tape.len() * std::mem::size_of::<Op>()
+            + self.output_regs.len() * std::mem::size_of::<Reg>()
+    }
+
     /// Declared input count of the source circuit.
     pub fn num_inputs(&self) -> usize {
         self.num_inputs
@@ -933,5 +941,16 @@ mod tests {
         assert_eq!(m.instances, 1);
         assert_eq!(m.gate_evals, s.tape_len as u64);
         assert!(m.eval_ns > 0);
+    }
+
+    #[test]
+    fn resident_bytes_count_tape_and_output_registers() {
+        let c = adder_chain(10);
+        let eng = compile(&c).unwrap();
+        let outputs = c.outputs().len();
+        assert_eq!(
+            eng.resident_bytes(),
+            20 * eng.stats().tape_len + 4 * outputs
+        );
     }
 }

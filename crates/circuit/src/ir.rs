@@ -1,7 +1,8 @@
 //! Word-level circuit IR: gates, builder, evaluator.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::fxhash::FxHashMap;
 
 /// A wire identifier.
 pub type WireId = u32;
@@ -168,9 +169,9 @@ pub struct Builder {
     depths: Vec<u32>,
     num_inputs: usize,
     size: u64,
-    const_cache: HashMap<u64, WireId>,
+    const_cache: FxHashMap<u64, WireId>,
     cse: bool,
-    cse_cache: HashMap<Gate, WireId>,
+    cse_cache: FxHashMap<Gate, WireId>,
     /// Logic pushes answered from `cse_cache` (online dedup hits).
     cse_hits: u64,
 }
@@ -199,9 +200,9 @@ impl Builder {
             depths: Vec::new(),
             num_inputs: 0,
             size: 0,
-            const_cache: HashMap::new(),
+            const_cache: FxHashMap::default(),
             cse: true,
-            cse_cache: HashMap::new(),
+            cse_cache: FxHashMap::default(),
             cse_hits: 0,
         }
     }

@@ -36,6 +36,7 @@ pub mod bitengine;
 mod decompose;
 pub mod driver;
 mod engine;
+mod fxhash;
 mod ir;
 mod join;
 mod join_out;

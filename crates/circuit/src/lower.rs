@@ -8,10 +8,10 @@
 //! protocols consume — XOR gates are "free" in both, so [`BitCircuit`]
 //! reports AND count and AND depth separately.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::driver::CompileOptions;
+use crate::fxhash::FxHashMap;
 use crate::{Circuit, Gate, WireId};
 
 /// A bit-level gate over GF(2) with NOT.
@@ -450,7 +450,7 @@ pub(crate) trait BitRewrite {
 /// `HashMap` cons table, with fold/CSE counters for [`BitOptStats`].
 pub(crate) struct Lowerer {
     pub(crate) gates: Vec<BGate>,
-    cse: HashMap<BGate, u32>,
+    cse: FxHashMap<BGate, u32>,
     pub(crate) cse_hits: u64,
     pub(crate) folds: u64,
 }
@@ -459,7 +459,7 @@ impl Lowerer {
     pub(crate) fn new() -> Lowerer {
         Lowerer {
             gates: vec![BGate::Const(false), BGate::Const(true)],
-            cse: HashMap::new(),
+            cse: FxHashMap::default(),
             cse_hits: 0,
             folds: 0,
         }

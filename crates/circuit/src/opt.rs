@@ -23,9 +23,8 @@
 //! canonical coercion `Or(x, x)` (= `bool(x)`) when the operand may be a
 //! wide word.
 
-use std::collections::{HashMap, HashSet};
-
 use crate::driver::CompileOptions;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ir::{canon, Circuit, Gate, WireId};
 
 /// Counters describing one [`optimize_with`] run.
@@ -108,8 +107,8 @@ struct Rewriter {
     val: Vec<Option<u64>>,
     /// Is the wire provably `0`/`1`?
     boolish: Vec<bool>,
-    cse: HashMap<Gate, WireId>,
-    consts: HashMap<u64, WireId>,
+    cse: FxHashMap<Gate, WireId>,
+    consts: FxHashMap<u64, WireId>,
     folded: u64,
     identities: u64,
     cse_hits: u64,
@@ -121,8 +120,8 @@ impl Rewriter {
             gates: Vec::with_capacity(cap),
             val: Vec::with_capacity(cap),
             boolish: Vec::with_capacity(cap),
-            cse: HashMap::new(),
-            consts: HashMap::new(),
+            cse: FxHashMap::default(),
+            consts: FxHashMap::default(),
             folded: 0,
             identities: 0,
             cse_hits: 0,
@@ -353,7 +352,7 @@ fn optimize(c: &Circuit) -> (Circuit, OptStats) {
     let src = c.gates();
     let mut rw = Rewriter::new(src.len());
     let mut map: Vec<WireId> = Vec::with_capacity(src.len());
-    let mut seen_asserts: HashSet<WireId> = HashSet::new();
+    let mut seen_asserts: FxHashSet<WireId> = FxHashSet::default();
     // (pre-DCE new index, source index) per surviving assert.
     let mut assert_origin: Vec<(u32, u32)> = Vec::new();
     let mut asserts_before = 0u64;

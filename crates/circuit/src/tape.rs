@@ -42,7 +42,6 @@
 //! stream, and both are dwarfed by the payload they replace for the
 //! deep, repetitive circuits this path targets.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
@@ -51,6 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::engine::kind_index;
+use crate::fxhash::FxHashMap;
 use crate::lower::{
     checked_bit_id, lower_gate, BGate, BitCircuit, BitRewrite, B_FALSE, B_TRUE, MAX_BIT_WIRES,
 };
@@ -1237,10 +1237,10 @@ impl Drop for ChunkSink {
 /// wire; the driver loop checks `err` after every word gate.
 struct StreamLowerer {
     sink: ChunkSink,
-    cse: HashMap<BGate, u32>,
+    cse: FxHashMap<BGate, u32>,
     /// `w -> x` for every wire defined by `Not(x)` — the resident side
     /// map that replaces peeking at (possibly spilled) gate payloads.
-    not_of: HashMap<u32, u32>,
+    not_of: FxHashMap<u32, u32>,
     next: u64,
     err: Option<EvalError>,
 }
@@ -1249,8 +1249,8 @@ impl StreamLowerer {
     fn new(opts: &StreamOptions) -> Result<StreamLowerer, TapeError> {
         let mut lw = StreamLowerer {
             sink: ChunkSink::new(opts),
-            cse: HashMap::new(),
-            not_of: HashMap::new(),
+            cse: FxHashMap::default(),
+            not_of: FxHashMap::default(),
             next: 0,
             err: None,
         };

@@ -21,7 +21,11 @@ type GateSeed = (u8, u32, u32, u32, u64);
 /// material to chew on, and the equivalence claim is tested against the
 /// least-preprocessed circuit we can build.
 fn build_random(mode: Mode, num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
-    let mut b = Builder::without_cse(mode);
+    build_random_with(Builder::without_cse(mode), num_inputs, seeds)
+}
+
+/// Replays the seeds' builder call sequence on `b`.
+fn build_random_with(mut b: Builder, num_inputs: usize, seeds: &[GateSeed]) -> Circuit {
     let mut wires: Vec<_> = (0..num_inputs).map(|_| b.input()).collect();
     for &(kind, a, bb, s, v) in seeds {
         let pick = |x: u32| wires[x as usize % wires.len()];
@@ -118,6 +122,26 @@ proptest! {
         // arity errors are preserved verbatim
         let short = vec![0u64; num_inputs - 1];
         prop_assert_eq!(c.evaluate(&short).err(), opt.evaluate(&short).err());
+    }
+
+    /// The builder's online hash-consing is redundant before the
+    /// optimizer: one builder call sequence, run with and without it,
+    /// optimizes to the identical circuit. Operands are drawn from the
+    /// first few wires so the sequence repeats gates often.
+    #[test]
+    fn cse_free_and_hash_consed_builds_optimize_identically(
+        num_inputs in 1usize..4,
+        seeds in prop::collection::vec(
+            (any::<u8>(), 0u32..4, 0u32..4, 0u32..4, 0u64..4), 1..200),
+    ) {
+        let opts = CompileOptions::sequential();
+        let consed = build_random_with(Builder::new(Mode::Build), num_inputs, &seeds);
+        let free = build_random_with(Builder::without_cse(Mode::Build), num_inputs, &seeds);
+        prop_assert!(consed.size() <= free.size());
+        let (a, _) = optimize_with(&consed, &opts);
+        let (b, _) = optimize_with(&free, &opts);
+        prop_assert_eq!(a.gates(), b.gates());
+        prop_assert_eq!(a.outputs(), b.outputs());
     }
 
     /// Count-only circuits pass through with identical size/depth

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use qec_circuit::Mode;
+use qec_circuit::{CompileOptions, Mode};
 use qec_query::Cq;
 use qec_relation::DcSet;
 
@@ -67,7 +67,9 @@ pub struct ChosenPlan {
 /// Word gates the engine would run for `rc`, counted without
 /// hash-consing (no gates are stored).
 fn cse_free_size(rc: &RelationalCircuit) -> u64 {
-    rc.lower_without_cse(Mode::Count).circuit.size()
+    rc.lower_without_cse(Mode::Count, &CompileOptions::sequential())
+        .circuit
+        .size()
 }
 
 /// Picks the relational circuit to serve for `cq` under `dc`.

@@ -631,14 +631,18 @@ impl RelationalCircuit {
         self.lower_into(Builder::new(mode))
     }
 
-    /// Measurement baseline: the same lowering with the builder's online
-    /// hash-consing disabled, so every gate is emitted verbatim. X24 uses
-    /// this to quantify how much cross-iteration redundancy the online
-    /// CSE collapses in unrolled fixpoint circuits, and
-    /// [`choose_plan`](crate::choose_plan) ranks candidate plans by its
-    /// cheap `Mode::Count` size — do not evaluate production circuits
-    /// through it.
-    pub fn lower_without_cse(&self, mode: Mode) -> LoweredCircuit {
+    /// The same lowering with the builder's online hash-consing
+    /// disabled, so every gate is emitted verbatim; recorded as the same
+    /// `build` span as [`RelationalCircuit::lower_with`]. It is about ten
+    /// times cheaper to build, and the word optimizer's own CSE pass
+    /// reaches the identical circuit from it, so `qec-serve` builds its
+    /// plans here and optimizes once. Unoptimized, the circuit is larger
+    /// than the hash-consed one: [`choose_plan`](crate::choose_plan)
+    /// ranks candidates by its cheap `Mode::Count` size, and X24 uses it
+    /// to measure how much cross-iteration redundancy hash-consing
+    /// collapses in unrolled fixpoint circuits.
+    pub fn lower_without_cse(&self, mode: Mode, opts: &CompileOptions) -> LoweredCircuit {
+        let _span = opts.recorder.span("build");
         self.lower_into(Builder::without_cse(mode))
     }
 

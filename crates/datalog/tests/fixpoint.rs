@@ -3,7 +3,7 @@
 //! semi-naive reference (and the provenance evaluation) on seeded
 //! random graphs.
 
-use qec_circuit::Mode;
+use qec_circuit::{CompileOptions, Mode};
 use qec_datalog::workloads;
 use qec_datalog::{
     compile, database, eval_provenance, provenance, result_relation, seminaive, DatalogProgram,
@@ -62,7 +62,11 @@ fn cross_iteration_consing_collapses_gates() {
     let dp = DatalogProgram::parse(workloads::TRANSITIVE_CLOSURE).unwrap();
     let fx = compile(&dp, &FixpointBounds::for_domain(4, 8)).unwrap();
     let consed = fx.rc.lower(Mode::Count).circuit.size();
-    let naive = fx.rc.lower_without_cse(Mode::Count).circuit.size();
+    let naive = fx
+        .rc
+        .lower_without_cse(Mode::Count, &CompileOptions::sequential())
+        .circuit
+        .size();
     assert!(
         consed < naive,
         "consing must collapse cross-iteration redundancy ({consed} vs {naive})"

@@ -17,18 +17,20 @@
 //! which is what makes a cold cache survivable at high concurrency.
 //!
 //! **Eviction.** Ready entries carry the tick of their last use; when
-//! the byte budget (sum of tape sizes) is exceeded after an insert, the
-//! globally least-recently-used entry is evicted — scanning one shard
-//! at a time, never holding two shard locks — until the cache fits.
+//! the byte budget (sum of the engines' resident bytes) is exceeded
+//! after an insert, the globally least-recently-used entry is evicted —
+//! scanning one shard at a time, never holding two shard locks — until
+//! the cache fits.
 //! The just-inserted key is protected so a plan larger than everything
 //! else cannot evict itself.
 //!
 //! **Persistence.** With a persist directory configured, every
 //! compiled plan is written through as `<fnv64>.wtape` (the existing
-//! `WordTape` container) plus a `<fnv64>.plan` meta file carrying the
-//! key, plan kind, layout, and output metadata. [`PlanCache::warm_start`]
-//! reloads them, paying tape-decode + register allocation but skipping
-//! parse/plan/lower — the compile-once, load-many path.
+//! `WordTape` container, holding the optimized circuit) plus a
+//! `<fnv64>.plan` meta file carrying the key, plan kind, layout, and
+//! output metadata. [`PlanCache::warm_start`] reloads them, paying
+//! tape decode + register allocation but skipping
+//! parse/plan/lower/optimize — the compile-once, load-many path.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -61,8 +63,8 @@ pub struct CompiledPlan {
     pub layout: InputLayout,
     /// Output metadata: `(schema, start, len)` into the raw outputs.
     pub outputs: Vec<(Vec<Var>, usize, usize)>,
-    /// Size charged against the cache byte budget (serialized tape
-    /// bytes — a stable, structure-proportional measure).
+    /// Size charged against the cache byte budget: the bytes the
+    /// engine keeps resident ([`CompiledCircuit::resident_bytes`]).
     pub plan_bytes: usize,
     /// Wall nanoseconds the compile took (0 for warm-started plans).
     pub compile_ns: u64,
@@ -385,7 +387,7 @@ impl PlanCache {
         tape.save(dir.join(format!("{stem}.wtape")))
             .map_err(|e| ServeError::Persist(e.to_string()))?;
         let mut meta = String::new();
-        meta.push_str("qec-plan v1\n");
+        meta.push_str("qec-plan v2\n");
         meta.push_str(&format!("query {}\n", plan.key.query));
         meta.push_str(&format!("dcsig {}\n", plan.key.dc_sig));
         meta.push_str(&format!("nbucket {}\n", plan.key.n_bucket));
@@ -413,11 +415,12 @@ impl PlanCache {
     }
 
     /// Loads every persisted plan from the persist directory, compiling
-    /// tapes under `opts`. Returns the number of plans loaded. Corrupt
-    /// or unreadable entries are skipped (a warm start must never be
-    /// worse than a cold one), and so are CQ metas without a `plan`
-    /// line: they predate plan choice and always hold the naive
-    /// circuit, so their keys recompile to the chosen plan.
+    /// tapes under `opts` with the optimizer off: a `v2` tape already
+    /// holds the optimized circuit. Returns the number of plans loaded.
+    /// Corrupt or unreadable entries are skipped (a warm start must
+    /// never be worse than a cold one), and so are `v1` metas, whose
+    /// tapes hold unoptimized circuits, and CQ metas without a `plan`
+    /// line; their keys recompile.
     pub fn warm_start(&self, opts: &CompileOptions) -> usize {
         let Some(dir) = self.persist_dir.clone() else {
             return 0;
@@ -425,6 +428,7 @@ impl PlanCache {
         let Ok(read) = std::fs::read_dir(&dir) else {
             return 0;
         };
+        let load_opts = opts.clone().with_optimize(false);
         let mut loaded = 0;
         for entry in read.flatten() {
             let path = entry.path();
@@ -444,10 +448,11 @@ impl PlanCache {
             let Ok(tape) = WordTape::load(&tape_path) else {
                 continue;
             };
-            let Ok((engine, _report)) = CompiledCircuit::compile_tape_with(&tape, opts) else {
+            let Ok((engine, _report)) = CompiledCircuit::compile_tape_with(&tape, &load_opts)
+            else {
                 continue;
             };
-            let plan_bytes = tape.to_bytes().len();
+            let plan_bytes = engine.resident_bytes();
             let key = plan.key.clone();
             let compiled = Arc::new(CompiledPlan {
                 key: key.clone(),
@@ -488,7 +493,7 @@ struct PlanMeta {
 
 fn parse_meta(meta: &str) -> Option<PlanMeta> {
     let mut lines = meta.lines();
-    if lines.next()? != "qec-plan v1" {
+    if lines.next()? != "qec-plan v2" {
         return None;
     }
     let mut query = None;

@@ -20,7 +20,10 @@
 //!    compile on cold keys), one `evaluate_batch` over the batch's
 //!    instances, per-job decode back to the request's variable space.
 //!    A CQ compiles the circuit [`choose_plan`] picks: PANDA-C or the
-//!    naive join, whichever lowers to fewer word gates.
+//!    naive join, whichever lowers to fewer word gates. A cold plan is
+//!    built without the builder's hash-consing and then optimized once;
+//!    the optimizer's CSE pass hash-conses it, gate for gate, into the
+//!    circuit a hash-consed build would have optimized to.
 //!
 //! A panic while processing a batch is caught in the worker: every job
 //! still in the batch fails with [`ServeError::Internal`], its tenant
@@ -37,8 +40,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use qec_circuit::{decode_relation, CompileOptions, CompiledCircuit, Mode, WordTape};
-use qec_core::{choose_plan, PlanKind};
+use qec_circuit::{
+    decode_relation, optimize_with, validate, validate_opt, CompileOptions, CompiledCircuit,
+    EvalError, Mode, WordTape,
+};
+use qec_core::{choose_plan, LoweredCircuit, PlanKind};
 use qec_datalog::{DatalogProgram, FixpointBounds};
 use qec_obs::Recorder;
 use qec_query::{canonicalize, parse_cq, CanonicalCq};
@@ -504,38 +510,74 @@ fn worker_loop(shared: &Shared) {
 static PANIC_TENANT: Mutex<Option<String>> = Mutex::new(None);
 
 /// Builds the circuit a plan key is served with — [`choose_plan`]'s pick
-/// for a CQ, the unrolled fixpoint for Datalog — and compiles it, also
-/// returning the tape the cache persists.
+/// for a CQ, the unrolled fixpoint for Datalog — and compiles it.
+///
+/// The plan is built without hash-consing and hash-consed once, by the
+/// optimizer's CSE pass: optimizing the CSE-free build yields the same
+/// circuit, gate for gate, as optimizing a hash-consed build, whose
+/// builder would pay for a second cons table on every gate. The source
+/// is dropped as soon as it is optimized, and the engine compiles the
+/// optimized circuit with the optimizer off. With `opts.optimize` off
+/// the raw CSE-free circuit is served. When `persist` is set the
+/// optimized circuit's tape is returned too, for the cache to write
+/// through.
 fn compile_plan(
     key: &PlanKey,
     spec: &JobPlan,
     opts: &CompileOptions,
-) -> Result<(CompiledPlan, WordTape), ServeError> {
+    persist: bool,
+) -> Result<(CompiledPlan, Option<WordTape>), ServeError> {
     let t = Instant::now();
     let (kind, lowered) = match spec {
         JobPlan::Cq { canon, dcs } => {
             let chosen =
                 choose_plan(&canon.cq, dcs).map_err(|e| ServeError::Compile(e.to_string()))?;
-            (Some(chosen.kind), chosen.rc.lower_with(Mode::Build, opts))
+            (
+                Some(chosen.kind),
+                chosen.rc.lower_without_cse(Mode::Build, opts),
+            )
         }
         JobPlan::Datalog { program, depth } => {
             let bounds = FixpointBounds::for_domain(*depth, *depth);
             let fx = qec_datalog::compile(program, &bounds)
                 .map_err(|e| ServeError::Compile(e.to_string()))?;
-            (None, fx.rc.lower_with(Mode::Build, opts))
+            (None, fx.rc.lower_without_cse(Mode::Build, opts))
         }
     };
-    let tape =
-        WordTape::encode(&lowered.circuit).map_err(|e| ServeError::Compile(e.to_string()))?;
-    let (engine, _report) = CompiledCircuit::compile_with(&lowered.circuit, opts)
-        .map_err(|e| ServeError::Compile(format!("{e:?}")))?;
+    let LoweredCircuit {
+        circuit: source,
+        layout,
+        outputs,
+    } = lowered;
+    let invalid = |e| ServeError::Compile(format!("{:?}", EvalError::Invalid(e)));
+    if opts.validate {
+        validate(&source).map_err(invalid)?;
+    }
+    let circuit = if opts.optimize {
+        let (optimized, st) = optimize_with(&source, opts);
+        if opts.validate {
+            validate_opt(&source, &optimized, &st).map_err(invalid)?;
+        }
+        drop(source);
+        optimized
+    } else {
+        source
+    };
+    let tape = if persist {
+        Some(WordTape::encode(&circuit).map_err(|e| ServeError::Compile(e.to_string()))?)
+    } else {
+        None
+    };
+    let (engine, _report) =
+        CompiledCircuit::compile_with(&circuit, &opts.clone().with_optimize(false))
+            .map_err(|e| ServeError::Compile(format!("{e:?}")))?;
     let plan = CompiledPlan {
         key: key.clone(),
         kind,
+        plan_bytes: engine.resident_bytes(),
         engine,
-        layout: lowered.layout,
-        outputs: lowered.outputs,
-        plan_bytes: tape.to_bytes().len(),
+        layout,
+        outputs,
         compile_ns: t.elapsed().as_nanos() as u64,
     };
     Ok((plan, tape))
@@ -556,8 +598,11 @@ fn process_batch(shared: &Shared, batch: &mut Vec<Job>) {
 
     let built = shared.cache.get_or_compile(&key, || {
         let _span = cfg.recorder.span("serve.compile");
-        let (plan, tape) = compile_plan(&key, &spec, &cfg.compile)?;
-        shared.cache.persist(&plan, &tape)?;
+        let persist = cfg.persist_dir.is_some();
+        let (plan, tape) = compile_plan(&key, &spec, &cfg.compile, persist)?;
+        if let Some(tape) = tape {
+            shared.cache.persist(&plan, &tape)?;
+        }
         Ok(plan)
     });
     let (plan, cache_hit) = match built {
@@ -829,7 +874,7 @@ mod tests {
     #[test]
     fn served_triangle_plan_has_a_small_register_file() {
         let (key, spec, _) = admit_cq(&triangle_request("t", 8, 0)).unwrap();
-        let (plan, _) = compile_plan(&key, &spec, &ServerConfig::default().compile).unwrap();
+        let (plan, _) = compile_plan(&key, &spec, &ServerConfig::default().compile, false).unwrap();
         assert_eq!(plan.kind, Some(PlanKind::PandaC));
         let regs = plan.engine.stats().peak_registers;
         assert!(regs < 9889, "{regs}");
@@ -843,6 +888,56 @@ mod tests {
             assert_eq!(server.query(req).unwrap().relations[0], want, "{seed}");
         }
         server.shutdown();
+    }
+
+    /// A served plan is built CSE-free and optimized once, yet compiles
+    /// to the same engine as `compile_with` over the hash-consed build,
+    /// for each plan family; the cache is charged its resident bytes.
+    #[test]
+    fn cse_free_served_plans_match_the_hash_consed_compile() {
+        let opts = ServerConfig::default().compile;
+        let request = |query: &str, rels: Vec<(&str, Vec<Vec<u64>>)>| Request {
+            tenant: "t".into(),
+            query: query.into(),
+            n: 4,
+            rels: rels
+                .into_iter()
+                .map(|(name, rows)| (name.to_string(), rows))
+                .collect(),
+        };
+        let star = request("Q(a, b, c, d) :- R(a, b), S(a, c), T(a, d)", vec![]);
+        let reach = request(
+            qec_datalog::workloads::REACHABILITY,
+            vec![("edge", vec![vec![0, 1]]), ("start", vec![vec![0]])],
+        );
+        let cases = [
+            (
+                admit_cq(&triangle_request("t", 8, 0)),
+                Some(PlanKind::PandaC),
+            ),
+            (admit_cq(&star), Some(PlanKind::Naive)),
+            (admit_datalog(&reach), None),
+        ];
+        for (admitted, kind) in cases {
+            let (key, spec, _) = admitted.unwrap();
+            let (plan, tape) = compile_plan(&key, &spec, &opts, false).unwrap();
+            assert!(tape.is_none(), "no tape without persistence");
+            assert_eq!(plan.kind, kind, "{key:?}");
+            let consed = match &spec {
+                JobPlan::Cq { canon, dcs } => choose_plan(&canon.cq, dcs).unwrap().rc,
+                JobPlan::Datalog { program, depth } => {
+                    let bounds = FixpointBounds::for_domain(*depth, *depth);
+                    qec_datalog::compile(program, &bounds).unwrap().rc
+                }
+            }
+            .lower_with(Mode::Build, &opts);
+            let (want, _) = CompiledCircuit::compile_with(&consed.circuit, &opts).unwrap();
+            let (got, want) = (plan.engine.stats(), want.stats());
+            assert_eq!(got.tape_len, want.tape_len, "{key:?}");
+            assert_eq!(got.peak_registers, want.peak_registers, "{key:?}");
+            assert_eq!(got.gate_counts, want.gate_counts, "{key:?}");
+            assert_eq!(plan.plan_bytes, plan.engine.resident_bytes(), "{key:?}");
+        }
     }
 
     /// The quota map holds only tenants with requests in flight: once
@@ -938,6 +1033,14 @@ mod tests {
             meta.lines().any(|l| l == "plan panda-c"),
             "rewritten: {meta}"
         );
+        // A `v1` meta's tape holds an unoptimized circuit, which warm
+        // start would compile with the optimizer off: it is skipped too.
+        std::fs::write(&meta_path, meta.replacen("qec-plan v2", "qec-plan v1", 1)).unwrap();
+        {
+            let mut server = warm();
+            assert_eq!(server.cache_stats().entries, 0, "v1 meta skipped");
+            server.shutdown();
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
